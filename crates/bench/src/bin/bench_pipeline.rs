@@ -24,9 +24,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use ndtensor::routines::{self, GemmOp};
-use ndtensor::{
-    matmul_a_bt_into, matmul_at_b_into, matmul_into, set_thread_config, Tensor, ThreadConfig,
-};
+use ndtensor::{matmul_at_b_into, matmul_into, set_thread_config, Tensor, ThreadConfig};
 use novelty::{
     ClassifierConfig, DecisionSource, NoveltyDetector, NoveltyDetectorBuilder, QueueConfig,
     ReconstructionObjective, StreamConfig, StreamRuntime, StreamServer, TenantSpec,
@@ -57,7 +55,7 @@ struct KernelBench {
 /// through the same `routines::run_serial` body the autotuner measures.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct RoutineBench {
-    /// GEMM family (`matmul`, `matmul_at_b`, `matmul_a_bt`).
+    /// GEMM family (`matmul`, `matmul_at_b`).
     op: String,
     /// Human-readable shape, e.g. `m32 k64 n9600`.
     shape: String,
@@ -198,7 +196,8 @@ fn pseudo(shape: impl Into<ndtensor::Shape>, seed: u64) -> Tensor {
 
 /// Pipeline-representative GEMM shapes: the first PilotNet conv layer as
 /// im2col GEMM (compact widths, 60×160 input), a mid conv layer, and the
-/// autoencoder's large dense layers at batch 1 (the streaming case).
+/// autoencoder's large dense layers at batch 1 (the streaming case),
+/// which multiply by the transposed weight panel `Wᵀ: [in, out]`.
 /// Shared by the entry-point benches and the per-routine sweep so the
 /// two views of the same shape are directly comparable.
 const GEMM_CASES: &[(&str, usize, usize, usize)] = &[
@@ -206,10 +205,10 @@ const GEMM_CASES: &[(&str, usize, usize, usize)] = &[
     ("matmul", 8, 25, 2184),
     // conv3 as GEMM: f=16, k=12*5*5, n=4*17.
     ("matmul", 16, 300, 68),
-    // dense decode head at batch 1: [1, 64] x [9600, 64]^T.
-    ("matmul_a_bt", 1, 64, 9600),
-    // dense encode at batch 1: [1, 9600] x [64, 9600]^T.
-    ("matmul_a_bt", 1, 9600, 64),
+    // dense encode at batch 1: [1, 9600] x [9600, 64].
+    ("matmul", 1, 9600, 64),
+    // dense decode head at batch 1: [1, 64] x [64, 9600].
+    ("matmul", 1, 64, 9600),
     // dense backward shapes (training path).
     ("matmul_at_b", 32, 64, 9600),
     ("matmul_at_b", 25, 8, 2184),
@@ -217,9 +216,8 @@ const GEMM_CASES: &[(&str, usize, usize, usize)] = &[
 
 fn op_for(kernel: &str) -> GemmOp {
     match kernel {
-        "matmul" => GemmOp::MatMul,
         "matmul_at_b" => GemmOp::MatMulAtB,
-        _ => GemmOp::MatMulABt,
+        _ => GemmOp::MatMul,
     }
 }
 
@@ -239,14 +237,6 @@ fn kernel_benches(iters: usize) -> Vec<KernelBench> {
                 let b = pseudo([k, n], 12);
                 time_iters(iters, || {
                     matmul_into(black_box(&a), black_box(&b), &mut c).expect("matmul");
-                    black_box(&mut c);
-                })
-            }
-            "matmul_a_bt" => {
-                let a = pseudo([m, k], 13);
-                let b = pseudo([n, k], 14);
-                time_iters(iters, || {
-                    matmul_a_bt_into(black_box(&a), black_box(&b), &mut c).expect("matmul_a_bt");
                     black_box(&mut c);
                 })
             }
@@ -662,10 +652,8 @@ fn main() {
     // fleet is large enough to batch. Quick runs are too noisy to gate.
     if !quick {
         // Coalescing must stay at least at parity with per-tenant
-        // sequential scoring. The margin used to be a solid >1.0x, but
-        // the routine registry gave batch-1 scoring a dedicated GEMV,
-        // which shrank the very batch-1 penalty coalescing amortizes —
-        // the two paths now sit within measurement noise of each other,
+        // sequential scoring. Batch-1 dense layers run fast enough that
+        // the two paths can sit within measurement noise of each other,
         // so the gate allows noise below exact parity while still
         // catching a real coalescing regression.
         for bench in report.serve.iter().filter(|b| b.tenants >= 8) {

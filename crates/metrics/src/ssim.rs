@@ -95,44 +95,54 @@ impl SsimConfig {
     }
 }
 
-/// Summed-area table over an `h × w` buffer, `(h+1) × (w+1)` entries in f64.
+/// Summed-area tables of `C` interleaved channels over an `h × w` grid:
+/// `(h+1) × (w+1) × C` f64 entries, channel `c` of corner `(y, x)` at
+/// `(y·(w+1) + x)·C + c`. One pass fills every channel, and one window
+/// query reads each corner's `C` sums from one cache line.
 ///
 /// The table borrows its storage from the [`ndtensor::scratch`] pool and
 /// returns it on drop, so repeated SSIM evaluation (the per-frame scoring
 /// hot path) allocates nothing once warmed.
-struct Integral {
+struct Integral<const C: usize> {
     sums: Vec<f64>,
     w1: usize,
 }
 
-impl Drop for Integral {
+impl<const C: usize> Drop for Integral<C> {
     fn drop(&mut self) {
         ndtensor::scratch::give_f64(std::mem::take(&mut self.sums));
     }
 }
 
-impl Integral {
-    fn build(data: impl Iterator<Item = f64>, h: usize, w: usize) -> Self {
+impl<const C: usize> Integral<C> {
+    /// Builds the tables from `cell(i)`, the `C` channel values of grid
+    /// cell `i = y·w + x`.
+    fn build(h: usize, w: usize, cell: impl Fn(usize) -> [f64; C]) -> Self {
         let w1 = w + 1;
-        let mut sums = ndtensor::scratch::take_zeroed_f64((h + 1) * w1);
-        let mut it = data;
+        let mut sums = ndtensor::scratch::take_zeroed_f64((h + 1) * w1 * C);
         for y in 0..h {
-            let mut row = 0.0f64;
+            let mut row = [0.0f64; C];
             for x in 0..w {
-                row += it.next().expect("iterator length matches h*w"); // sncheck:allow(no-panic-in-lib, hot-path-transitive-panic): all callers pass h*w-length iterators built in this module
-                sums[(y + 1) * w1 + (x + 1)] = sums[y * w1 + (x + 1)] + row;
+                let v = cell(y * w + x);
+                let up = (y * w1 + x + 1) * C;
+                let at = up + w1 * C;
+                for c in 0..C {
+                    row[c] += v[c];
+                    sums[at + c] = sums[up + c] + row[c];
+                }
             }
         }
         Integral { sums, w1 }
     }
 
-    /// Sum over the rectangle with top-left `(y, x)` and size `k × k`.
+    /// Per-channel sum over the rectangle with top-left `(y, x)` and size
+    /// `kh × kw`.
     #[inline]
-    fn window(&self, y: usize, x: usize, kh: usize, kw: usize) -> f64 {
-        let w1 = self.w1;
-        self.sums[(y + kh) * w1 + (x + kw)] + self.sums[y * w1 + x]
-            - self.sums[y * w1 + (x + kw)]
-            - self.sums[(y + kh) * w1 + x]
+    fn window(&self, y: usize, x: usize, kh: usize, kw: usize) -> [f64; C] {
+        let at = |yy: usize, xx: usize| (yy * self.w1 + xx) * C;
+        let (br, tl, tr, bl) = (at(y + kh, x + kw), at(y, x), at(y, x + kw), at(y + kh, x));
+        let s = &self.sums;
+        std::array::from_fn(|c| s[br + c] + s[tl + c] - s[tr + c] - s[bl + c])
     }
 }
 
@@ -172,22 +182,14 @@ fn per_window<F: FnMut(usize, usize, WindowStats)>(
     let n = (k * k) as f64;
     let xs = x.as_slice();
     let ys = y.as_slice();
-    let ix = Integral::build(xs.iter().map(|&v| v as f64), h, w);
-    let iy = Integral::build(ys.iter().map(|&v| v as f64), h, w);
-    let ixx = Integral::build(xs.iter().map(|&v| (v as f64) * (v as f64)), h, w);
-    let iyy = Integral::build(ys.iter().map(|&v| (v as f64) * (v as f64)), h, w);
-    let ixy = Integral::build(
-        xs.iter().zip(ys).map(|(&a, &b)| (a as f64) * (b as f64)),
-        h,
-        w,
-    );
+    // x, y, x², y², xy.
+    let sat = Integral::build(h, w, |i| {
+        let (a, b) = (xs[i] as f64, ys[i] as f64);
+        [a, b, a * a, b * b, a * b]
+    });
     for wy in 0..=(h - k) {
         for wx in 0..=(w - k) {
-            let sx = ix.window(wy, wx, k, k);
-            let sy = iy.window(wy, wx, k, k);
-            let sxx = ixx.window(wy, wx, k, k);
-            let syy = iyy.window(wy, wx, k, k);
-            let sxy = ixy.window(wy, wx, k, k);
+            let [sx, sy, sxx, syy, sxy] = sat.window(wy, wx, k, k);
             let mx = sx / n;
             let my = sy / n;
             // Population variance/covariance; max(0) guards tiny negative
@@ -288,11 +290,10 @@ pub fn ssim_with_grad(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(f32, Im
     let mw = w - k + 1;
     let windows = (mh * mw) as f64;
 
-    // Per-window coefficient maps such that, for pixel j inside window w:
+    // Per-window coefficients, interleaved (x, y, c), such that for pixel
+    // j inside window w:
     //   ∂S_w/∂y_j = x_j·coef_x[w] + y_j·coef_y[w] + coef_c[w].
-    let mut coef_x = ndtensor::scratch::take_zeroed_f64(mh * mw);
-    let mut coef_y = ndtensor::scratch::take_zeroed_f64(mh * mw);
-    let mut coef_c = ndtensor::scratch::take_zeroed_f64(mh * mw);
+    let mut coefs = ndtensor::scratch::take_zeroed_f64(mh * mw * 3);
     let mut total = 0.0f64;
     per_window(x, y, cfg, |wy, wx, s| {
         let (score, a1, a2, b1, b2) = window_score(&s, cfg);
@@ -301,20 +302,18 @@ pub fn ssim_with_grad(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(f32, Im
         // ∂S/∂y_j = scale·[ μx·A2 + (x_j−μx)·A1 − S·(μy·B2 + (y_j−μy)·B1) ]
         //         = x_j·(scale·A1) + y_j·(−scale·S·B1)
         //           + scale·(μx·A2 − μx·A1 − S·μy·B2 + S·μy·B1)
-        let idx = wy * mw + wx;
-        coef_x[idx] = scale * a1;
-        coef_y[idx] = -scale * score * b1;
-        coef_c[idx] = scale * (s.mx * a2 - s.mx * a1 - score * s.my * b2 + score * s.my * b1);
+        let idx = (wy * mw + wx) * 3;
+        coefs[idx] = scale * a1;
+        coefs[idx + 1] = -scale * score * b1;
+        coefs[idx + 2] = scale * (s.mx * a2 - s.mx * a1 - score * s.my * b2 + score * s.my * b1);
     })?;
 
     // Sum each coefficient over all windows covering a pixel with a second
     // round of integral images over the window-index grid.
-    let icx = Integral::build(coef_x.iter().copied(), mh, mw);
-    let icy = Integral::build(coef_y.iter().copied(), mh, mw);
-    let icc = Integral::build(coef_c.iter().copied(), mh, mw);
-    ndtensor::scratch::give_f64(coef_x);
-    ndtensor::scratch::give_f64(coef_y);
-    ndtensor::scratch::give_f64(coef_c);
+    let icoef = Integral::build(mh, mw, |i| {
+        [coefs[3 * i], coefs[3 * i + 1], coefs[3 * i + 2]]
+    });
+    ndtensor::scratch::give_f64(coefs);
 
     let xs = x.as_slice();
     let ys = y.as_slice();
@@ -327,9 +326,7 @@ pub fn ssim_with_grad(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(f32, Im
             let wx0 = px.saturating_sub(k - 1).min(mw - 1);
             let wx1 = px.min(mw - 1);
             let (rh, rw) = (wy1 - wy0 + 1, wx1 - wx0 + 1);
-            let sx = icx.window(wy0, wx0, rh, rw);
-            let sy = icy.window(wy0, wx0, rh, rw);
-            let sc = icc.window(wy0, wx0, rh, rw);
+            let [sx, sy, sc] = icoef.window(wy0, wx0, rh, rw);
             let j = py * w + px;
             let g = (xs[j] as f64) * sx + (ys[j] as f64) * sy + sc;
             grad.put(py, px, (g / windows) as f32);

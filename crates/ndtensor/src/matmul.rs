@@ -1,16 +1,17 @@
 //! Blocked, multi-threaded matrix multiplication kernels.
 //!
-//! Three entry points cover the access patterns needed by dense-layer and
-//! convolution backpropagation without materialising transposed copies:
+//! Two entry points cover the access patterns needed by dense layers and
+//! backpropagation without materialising transposed copies:
 //!
 //! * [`matmul`] — `C = A·B`
 //! * [`matmul_at_b`] — `C = Aᵀ·B`
-//! * [`matmul_a_bt`] — `C = A·Bᵀ`
 //!
-//! Each has a `_into` twin ([`matmul_into`], [`matmul_at_b_into`],
-//! [`matmul_a_bt_into`]) that writes into a caller-provided buffer so hot
-//! loops can recycle storage; the allocating forms are thin wrappers that
-//! draw their output from [`crate::scratch`].
+//! Each has a `_into` twin ([`matmul_into`], [`matmul_at_b_into`]) that
+//! writes into a caller-provided buffer so hot loops can recycle storage;
+//! the allocating forms are thin wrappers that draw their output from
+//! [`crate::scratch`]. The `A·Bᵀ` family has no public entry point: its
+//! only caller is the convolution backward pass, which selects a routine
+//! directly.
 //!
 //! The inner microkernels live in [`crate::routines`]: each entry point
 //! asks the routine selector for the candidate registered for its full
@@ -172,57 +173,6 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
     Ok(())
 }
 
-fn matmul_a_bt_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    let kernel = routines::select(GemmOp::MatMulABt, m, k, n).kernel;
-    for_each_block(out, n, m * n * k, |row0, chunk| {
-        let rows = chunk.len().checked_div(n).unwrap_or(0);
-        kernel(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
-    });
-}
-
-/// Computes `C = A·Bᵀ` for `A: [m, k]` and `B: [n, k]` without transposing.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] for non-matrix inputs and
-/// [`TensorError::ShapeMismatch`] when the trailing dimensions disagree.
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = dims2(a, "matmul_a_bt")?;
-    let (n, kb) = dims2(b, "matmul_a_bt")?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_a_bt",
-            lhs: a.shape().clone(),
-            rhs: b.shape().clone(),
-        });
-    }
-    let mut out = Tensor::zeros([m, n]);
-    matmul_a_bt_slices(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
-    Ok(out)
-}
-
-/// Computes `C = A·Bᵀ` into `out` (length `m·n`), recycling its storage.
-///
-/// # Errors
-///
-/// Like [`matmul_a_bt`], plus [`TensorError::LengthMismatch`] when `out`
-/// has the wrong length.
-pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
-    let (m, k) = dims2(a, "matmul_a_bt_into")?;
-    let (n, kb) = dims2(b, "matmul_a_bt_into")?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_a_bt_into",
-            lhs: a.shape().clone(),
-            rhs: b.shape().clone(),
-        });
-    }
-    check_out_len(out.len(), m * n)?;
-    // The kernel assigns every element; zero-fill is unnecessary.
-    matmul_a_bt_slices(a.as_slice(), m, k, b.as_slice(), n, out);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,7 +228,6 @@ mod tests {
         assert!(matmul(&a, &b).is_err());
         assert!(matmul(&a, &Tensor::zeros([3])).is_err());
         assert!(matmul_at_b(&Tensor::zeros([2, 3]), &Tensor::zeros([3, 2])).is_err());
-        assert!(matmul_a_bt(&Tensor::zeros([2, 3]), &Tensor::zeros([2, 4])).is_err());
     }
 
     #[test]
@@ -287,8 +236,6 @@ mod tests {
         let b = pseudo([3, 4], 2);
         let mut short = vec![0.0f32; 7];
         assert!(matmul_into(&a, &b, &mut short).is_err());
-        let bt = pseudo([4, 3], 3);
-        assert!(matmul_a_bt_into(&a, &bt, &mut short).is_err());
         let at = pseudo([3, 2], 4);
         assert!(matmul_at_b_into(&at, &b, &mut short).is_err());
     }
@@ -307,18 +254,13 @@ mod tests {
             let mut out2 = vec![7.0f32; m * n];
             matmul_at_b_into(&at, &b, &mut out2).unwrap();
             assert_eq!(out2, matmul_at_b(&at, &b).unwrap().as_slice());
-
-            let bt = pseudo([n, k], seed + 30);
-            let mut out3 = vec![7.0f32; m * n];
-            matmul_a_bt_into(&a, &bt, &mut out3).unwrap();
-            assert_eq!(out3, matmul_a_bt(&a, &bt).unwrap().as_slice());
         }
     }
 
     #[test]
     fn shapes_spanning_tile_boundaries_match_naive() {
-        // Exercise the column tiling (n > COL_TILE), the B-row tiling
-        // (n > BT_ROW_TILE) and the JB remainder loop.
+        // Exercise the column tiling (n > COL_TILE) and the remainder
+        // loops.
         for &(m, k, n) in &[(5, 3, 513), (2, 7, 300), (9, 2, 65), (1, 300, 70)] {
             let a = pseudo([m, k], 91);
             let b = pseudo([k, n], 92);
@@ -327,10 +269,6 @@ mod tests {
             let at = pseudo([k, m], 93);
             let expect = naive(&at.transpose2d().unwrap(), &b);
             assert_close(&matmul_at_b(&at, &b).unwrap(), &expect, 1e-4);
-
-            let bt = pseudo([n, k], 94);
-            let expect2 = naive(&a, &bt.transpose2d().unwrap());
-            assert_close(&matmul_a_bt(&a, &bt).unwrap(), &expect2, 1e-4);
         }
     }
 
@@ -340,11 +278,6 @@ mod tests {
         let b = pseudo([7, 5], 12);
         let expect = matmul(&a.transpose2d().unwrap(), &b).unwrap();
         assert_close(&matmul_at_b(&a, &b).unwrap(), &expect, 1e-5);
-
-        let a2 = pseudo([6, 8], 13);
-        let b2 = pseudo([5, 8], 14);
-        let expect2 = matmul(&a2, &b2.transpose2d().unwrap()).unwrap();
-        assert_close(&matmul_a_bt(&a2, &b2).unwrap(), &expect2, 1e-5);
     }
 
     #[test]
@@ -388,11 +321,6 @@ mod tests {
             let b = pseudo([k, n], seed + 1);
             let expect = naive(&a.transpose2d().unwrap(), &b);
             assert_close(&matmul_at_b(&a, &b).unwrap(), &expect, 1e-4);
-
-            let a2 = pseudo([m, k], seed + 2);
-            let b2 = pseudo([n, k], seed + 3);
-            let expect2 = naive(&a2, &b2.transpose2d().unwrap());
-            assert_close(&matmul_a_bt(&a2, &b2).unwrap(), &expect2, 1e-4);
         }
 
         #[test]

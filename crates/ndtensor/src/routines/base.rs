@@ -89,10 +89,6 @@ fn always(_m: usize, _k: usize, _n: usize) -> bool {
     true
 }
 
-fn single_row(m: usize, _k: usize, _n: usize) -> bool {
-    m == 1
-}
-
 // Wrapper fns: `Kernel` is a plain fn pointer, so each tile/width
 // configuration gets a named zero-cost wrapper.
 
@@ -137,9 +133,6 @@ fn abt_dot8_t32(a: &[f32], rows: usize, k: usize, b: &[f32], n: usize, out: &mut
 }
 fn abt_dot16_t64(a: &[f32], rows: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     kernels::abt_tiled::<16>(a, rows, k, b, n, out, 64);
-}
-fn abt_gemv(a: &[f32], rows: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    kernels::abt_gemv::<8>(a, rows, k, b, n, out);
 }
 
 /// Every registered routine. Priority 0 rows are the PR 5 defaults; the
@@ -326,13 +319,6 @@ pub static REGISTRY: &[Routine] = &[
         applies: always,
         kernel: abt_dot16_t64,
     },
-    Routine {
-        name: "abt-gemv",
-        op: GemmOp::MatMulABt,
-        priority: 5,
-        applies: single_row,
-        kernel: abt_gemv,
-    },
 ];
 
 /// Candidates of `op` applicable to the full shape `(m, k, n)`, in
@@ -422,15 +408,6 @@ mod tests {
             assert_eq!(d.priority, 0);
             assert!(d.applies_to(7, 5, 300), "defaults must apply everywhere");
         }
-    }
-
-    #[test]
-    fn gemv_only_applies_to_single_row_problems() {
-        let gemv = by_name("abt-gemv").unwrap();
-        assert!(gemv.applies_to(1, 64, 9600));
-        assert!(!gemv.applies_to(2, 64, 9600));
-        assert!(candidates(GemmOp::MatMulABt, 1, 64, 9600).any(|r| r.name == "abt-gemv"));
-        assert!(!candidates(GemmOp::MatMulABt, 32, 64, 9600).any(|r| r.name == "abt-gemv"));
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   historical exact-zero skip on `A` entries is preserved verbatim in
 //!   every variant — all members skip the same `l` indices, so members
 //!   are bitwise-interchangeable on *all* inputs, zeros included.
-//! * **assigning** (`matmul_a_bt`): no zero skip anywhere (the original
-//!   kernel never had one), every output element is written exactly once.
+//! * **assigning** (`A·Bᵀ`, the convolution backward pass's dW GEMM): no
+//!   zero skip anywhere (the original kernel never had one), every output
+//!   element is written exactly once.
 //!
 //! The axpy variants are the PR 5 defaults generalised over the column
 //! tile; the register-blocked variants hold a group of output columns in
@@ -521,46 +522,5 @@ pub(crate) fn abt_tiled<const J: usize>(
             break;
         }
         j0 = tile_end;
-    }
-}
-
-/// Dedicated GEMV for the `m = 1` `A·Bᵀ` shapes (streaming dense layers
-/// at batch 1): one dot product per output element with no row-tile
-/// bookkeeping — `A` is a single row, so there is nothing to tile for.
-/// Same per-element chain as [`abt_tiled`], bitwise-equal to it.
-pub(crate) fn abt_gemv<const J: usize>(
-    arows: &[f32],
-    rows: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(arows.len(), rows * k);
-    debug_assert_eq!(out.len(), rows * n);
-    for i in 0..rows {
-        let arow = &arows[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + J <= n {
-            let mut acc = [0.0f32; J];
-            let base: [&[f32]; J] = std::array::from_fn(|t| &bd[(j + t) * k..(j + t + 1) * k]);
-            for (l, &av) in arow.iter().enumerate() {
-                for t in 0..J {
-                    acc[t] += av * base[t][l];
-                }
-            }
-            orow[j..j + J].copy_from_slice(&acc);
-            j += J;
-        }
-        while j < n {
-            let brow = &bd[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            orow[j] = acc;
-            j += 1;
-        }
     }
 }

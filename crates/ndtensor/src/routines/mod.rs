@@ -4,8 +4,8 @@
 //! shape. This module splits that into a *blueprint/routine* structure:
 //!
 //! * [`kernels`](self) — the candidate microkernels (tile-size variants,
-//!   register-blocked accumulators, a dedicated GEMV), every one
-//!   bitwise-equal to the naive kernel within its family;
+//!   register-blocked accumulators), every one bitwise-equal to the
+//!   naive kernel within its family;
 //! * [`Routine`] / [`REGISTRY`] — the static table describing each
 //!   candidate (name, family, shape predicate, priority);
 //! * [`select`] — per-`(op, m, k, n)` choice, either a pure shape

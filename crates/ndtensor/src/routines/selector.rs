@@ -206,8 +206,7 @@ pub fn clear_selection_table() {
 ///   1.5–2×. Outside that region the PR 5 axpy default wins (its packed
 ///   panel amortizes over long `k`), so the heuristic stays on proven
 ///   behaviour.
-/// * `A·Bᵀ`: the dedicated GEMV for single-row problems (streaming dense
-///   layers at batch 1), the PR 5 tiled kernel otherwise.
+/// * `A·Bᵀ` (convolution backward only): the PR 5 tiled kernel.
 pub fn heuristic(op: GemmOp, m: usize, k: usize, n: usize) -> &'static Routine {
     let wide_small_k = n >= 64 && k <= 128;
     let name = match op {
@@ -225,13 +224,7 @@ pub fn heuristic(op: GemmOp, m: usize, k: usize, n: usize) -> &'static Routine {
                 "atb-axpy-c256"
             }
         }
-        GemmOp::MatMulABt => {
-            if m == 1 {
-                "abt-gemv"
-            } else {
-                "abt-dot8-t64"
-            }
-        }
+        GemmOp::MatMulABt => "abt-dot8-t64",
     };
     REGISTRY
         .iter()
@@ -428,8 +421,6 @@ mod tests {
                 assert!(a.applies_to(m, k, n));
             }
         }
-        assert_eq!(heuristic(GemmOp::MatMulABt, 1, 64, 9600).name, "abt-gemv");
-        assert_ne!(heuristic(GemmOp::MatMulABt, 2, 64, 9600).name, "abt-gemv");
     }
 
     #[test]

@@ -169,9 +169,11 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
     buf
 }
 
-/// Returns an `f32` buffer to this thread's pool for reuse.
+/// Returns an `f32` buffer to this thread's pool for reuse. While the
+/// thread is exiting and its pool is already gone (another thread-local
+/// dropping its tensors late), the buffer is simply freed.
 pub fn give(buf: Vec<f32>) {
-    F32_POOL.with(|p| p.borrow_mut().give(buf));
+    let _ = F32_POOL.try_with(|p| p.borrow_mut().give(buf));
 }
 
 /// Takes an empty `f64` buffer with `capacity >= len` (SSIM integral
@@ -187,9 +189,10 @@ pub fn take_zeroed_f64(len: usize) -> Vec<f64> {
     buf
 }
 
-/// Returns an `f64` buffer to this thread's pool.
+/// Returns an `f64` buffer to this thread's pool (freed instead while
+/// the thread is exiting, as for [`give`]).
 pub fn give_f64(buf: Vec<f64>) {
-    F64_POOL.with(|p| p.borrow_mut().give(buf));
+    let _ = F64_POOL.try_with(|p| p.borrow_mut().give(buf));
 }
 
 /// An explicit bag of reusable buffers for workspace-taking kernels.

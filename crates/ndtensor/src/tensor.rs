@@ -288,10 +288,19 @@ impl Tensor {
             });
         }
         let (r, c) = (self.shape.dims()[0], self.shape.dims()[1]);
-        let mut out = scratch::take(r * c);
-        for j in 0..c {
-            for i in 0..r {
-                out.push(self.data[i * c + j]);
+        // Square tiles keep both the row reads and the strided writes
+        // within a few cache lines (a dense layer's panel is built this
+        // way, at load).
+        const TILE: usize = 32;
+        let mut out = scratch::take_zeroed(r * c);
+        for i0 in (0..r).step_by(TILE) {
+            for j0 in (0..c).step_by(TILE) {
+                for i in i0..(i0 + TILE).min(r) {
+                    let row = &self.data[i * c..(i + 1) * c];
+                    for j in j0..(j0 + TILE).min(c) {
+                        out[j * r + i] = row[j];
+                    }
+                }
             }
         }
         Ok(Tensor {

@@ -14,6 +14,13 @@ pub enum NeuralError {
         /// Human-readable description of the violated invariant.
         reason: String,
     },
+    /// A loaded layer parameter holds NaN or ±infinity.
+    NonFiniteParam {
+        /// Index of the layer in the network.
+        layer: usize,
+        /// Which parameter tensor: `"weight"` or `"bias"`.
+        param: &'static str,
+    },
     /// `backward` was called without a preceding `forward_train`.
     MissingCache {
         /// Name of the layer missing its forward cache.
@@ -40,6 +47,9 @@ impl fmt::Display for NeuralError {
         match self {
             NeuralError::Tensor(e) => write!(f, "tensor error: {e}"),
             NeuralError::Invalid { op, reason } => write!(f, "{op}: {reason}"),
+            NeuralError::NonFiniteParam { layer, param } => {
+                write!(f, "layer {layer}: {param} holds a non-finite value")
+            }
             NeuralError::MissingCache { layer } => {
                 write!(f, "{layer}: backward called without forward_train")
             }
@@ -83,6 +93,12 @@ mod tests {
         assert!(NeuralError::MissingCache { layer: "Dense" }
             .to_string()
             .contains("Dense"));
+        assert!(NeuralError::NonFiniteParam {
+            layer: 3,
+            param: "bias"
+        }
+        .to_string()
+        .contains("layer 3: bias"));
         assert!(NeuralError::Serde("bad json".into())
             .to_string()
             .contains("bad json"));

@@ -1,4 +1,6 @@
-use ndtensor::{matmul, matmul_a_bt, matmul_at_b, Tensor};
+use std::sync::OnceLock;
+
+use ndtensor::{matmul, matmul_at_b, Tensor};
 use rand::Rng;
 
 use crate::layer::{Layer, LayerKind, ParamGrad};
@@ -9,6 +11,18 @@ use crate::{NeuralError, Result};
 /// * weights `W`: `[out_features, in_features]`, He-normal initialised
 /// * bias `b`: `[out_features]`, zero initialised
 /// * input: `[N, in_features]`, output: `[N, out_features]`
+///
+/// Both forward passes run `matmul(x, Wᵀ) + b` on a transposed weight
+/// panel `Wᵀ: [in_features, out_features]`, built on first use and
+/// dropped by every `&mut` path to the weights
+/// ([`Layer::params_and_grads`], hence `set_params` and optimizer
+/// steps). The plain GEMM vectorizes across outputs and amortizes over
+/// the batch, which the `[out, in]` layout cannot. For finite weights it
+/// is bitwise-equal to the schoolbook `Σ_k x[i][k]·W[j][k]` chain
+/// started at +0: its only difference is skipping exact-zero `x`
+/// entries, and a ±0 product never changes a chain that starts at +0.
+/// The stored `[out, in]` weights stay the source of truth for
+/// serialization, backward and saliency.
 ///
 /// # Example
 ///
@@ -32,6 +46,9 @@ pub struct Dense {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
+    /// `Wᵀ`, `[in_features, out_features]`; empty until the first
+    /// forward after construction or a weight update.
+    panel: OnceLock<Tensor>,
 }
 
 impl Dense {
@@ -55,6 +72,7 @@ impl Dense {
             grad_weight: Tensor::zeros([out_features, in_features]),
             grad_bias: Tensor::zeros([out_features]),
             cached_input: None,
+            panel: OnceLock::new(),
         })
     }
 
@@ -87,6 +105,7 @@ impl Dense {
             grad_weight: gw,
             grad_bias: gb,
             cached_input: None,
+            panel: OnceLock::new(),
         })
     }
 
@@ -116,7 +135,14 @@ impl Dense {
 
     fn compute(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
-        let mut out = matmul_a_bt(input, &self.weight)?;
+        let panel = match self.panel.get() {
+            Some(panel) => panel,
+            None => {
+                let built = self.weight.transpose2d()?;
+                self.panel.get_or_init(|| built)
+            }
+        };
+        let mut out = matmul(input, panel)?;
         let (n, f) = (out.shape().dims()[0], out.shape().dims()[1]);
         let bias = self.bias.as_slice();
         let data = out.as_mut_slice();
@@ -178,6 +204,8 @@ impl Layer for Dense {
     }
 
     fn params_and_grads(&mut self) -> Vec<ParamGrad<'_>> {
+        // The caller may rewrite the weights: the panel is stale.
+        self.panel.take();
         vec![
             ParamGrad {
                 param: &mut self.weight,
@@ -313,5 +341,44 @@ mod tests {
         layer.set_params(&[new_w.clone(), new_b]).unwrap();
         assert_eq!(layer.params()[0], &new_w);
         assert!(layer.set_params(&[Tensor::zeros([2, 2])]).is_err());
+    }
+
+    #[test]
+    fn weight_updates_invalidate_the_transposed_panel() {
+        use crate::optim::{Optimizer, Sgd};
+
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // What a layer built from scratch on the current weights computes.
+        let fresh = |layer: &Dense, x: &Tensor| {
+            let p = layer.params();
+            let rebuilt = Dense::from_parts(p[0].clone(), p[1].clone()).unwrap();
+            bits(&rebuilt.forward(x).unwrap())
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut layer = Dense::new(5, 3, &mut rng).unwrap();
+        let x = Tensor::from_vec(
+            [2, 5],
+            vec![0.5, -0.25, 0.0, 1.5, -2.0, 1.0, 0.75, -0.5, 0.25, 2.0],
+        )
+        .unwrap();
+        let before = bits(&layer.forward(&x).unwrap());
+
+        layer
+            .set_params(&[Tensor::full([3, 5], 0.5), Tensor::ones([3])])
+            .unwrap();
+        let after_set = bits(&layer.forward(&x).unwrap());
+        assert_ne!(after_set, before);
+        assert_eq!(after_set, fresh(&layer, &x));
+
+        let out = layer.forward_train(&x).unwrap();
+        layer.backward(&Tensor::ones(out.shape().clone())).unwrap();
+        Sgd::new(0.1)
+            .unwrap()
+            .step(&mut layer.params_and_grads())
+            .unwrap();
+        let after_step = bits(&layer.forward(&x).unwrap());
+        assert_ne!(after_step, after_set);
+        assert_eq!(after_step, fresh(&layer, &x));
+        assert_eq!(bits(&layer.forward_train(&x).unwrap()), after_step);
     }
 }

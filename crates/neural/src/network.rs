@@ -178,22 +178,30 @@ impl Network {
     /// Fails when the network is empty or any layer rejects its input.
     pub fn forward_collect(&self, input: &Tensor) -> Result<Vec<Tensor>> {
         let mut acts = Vec::with_capacity(self.layers.len()); // sncheck:allow(hot-path-transitive-alloc): per-layer activation list is this API's return value; callers on the hot path reuse forward_collect_into instead
-        self.forward_collect_into(input, &mut acts)?;
+        self.forward_collect_into(input, self.layers.len(), &mut acts)?;
         Ok(acts)
     }
 
-    /// Like [`Network::forward_collect`], but reuses `acts` (cleared
-    /// first), so a warmed caller performs no per-call allocation: the
-    /// vector keeps its capacity and every activation tensor draws its
-    /// storage from the [`ndtensor::scratch`] pool.
+    /// Like [`Network::forward_collect`], but runs only the first
+    /// `depth` layers (all of them when `depth` exceeds the layer count)
+    /// and reuses `acts` (cleared first), so a warmed caller performs no
+    /// per-call allocation: the vector keeps its capacity and every
+    /// activation tensor draws its storage from the [`ndtensor::scratch`]
+    /// pool. VisualBackProp passes the depth of its deepest conv block
+    /// and so never runs the head it would throw away.
     ///
     /// # Errors
     ///
     /// Fails when the network is empty or any layer rejects its input.
-    pub fn forward_collect_into(&self, input: &Tensor, acts: &mut Vec<Tensor>) -> Result<()> {
+    pub fn forward_collect_into(
+        &self,
+        input: &Tensor,
+        depth: usize,
+        acts: &mut Vec<Tensor>,
+    ) -> Result<()> {
         self.require_nonempty("Network::forward_collect")?;
         acts.clear();
-        for layer in &self.layers {
+        for layer in self.layers.iter().take(depth) {
             let x = match acts.last() {
                 Some(prev) => layer.forward(prev)?,
                 None => layer.forward(input)?,
@@ -343,6 +351,18 @@ mod tests {
         assert_eq!(acts[3].shape().dims(), &[2, 2]);
         // Last activation equals forward output.
         assert_eq!(acts[3], net.forward(&Tensor::zeros([2, 3])).unwrap());
+    }
+
+    #[test]
+    fn forward_collect_into_stops_at_the_requested_depth() {
+        let net = small_net(3);
+        let x = Tensor::from_fn([2, 3], |i| (i[0] + 2 * i[1]) as f32 * 0.3 - 0.5);
+        let all = net.forward_collect(&x).unwrap();
+        let mut acts = vec![Tensor::zeros([1])];
+        net.forward_collect_into(&x, 2, &mut acts).unwrap();
+        assert_eq!(acts.as_slice(), &all[..2]);
+        net.forward_collect_into(&x, 99, &mut acts).unwrap();
+        assert_eq!(acts, all);
     }
 
     #[test]

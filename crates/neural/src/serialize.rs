@@ -35,6 +35,17 @@ impl TensorData {
     fn into_tensor(self) -> Result<Tensor> {
         Ok(Tensor::from_vec(self.shape, self.data)?)
     }
+
+    /// [`TensorData::into_tensor`] for a loaded layer parameter, which
+    /// must be finite: a NaN or infinite weight would score every frame
+    /// as garbage, and the dense layers' transposed-panel forward is
+    /// bitwise-equal to the reference product only for finite weights.
+    fn into_param(self, layer: usize, param: &'static str) -> Result<Tensor> {
+        if self.data.iter().any(|v| !v.is_finite()) {
+            return Err(NeuralError::NonFiniteParam { layer, param });
+        }
+        self.into_tensor()
+    }
 }
 
 /// Serialized form of one layer.
@@ -141,15 +152,16 @@ fn two_params<'a>(kind: &'static str, params: &[&'a Tensor]) -> Result<[&'a Tens
 ///
 /// # Errors
 ///
-/// Fails when any stored tensor is malformed (shape/data mismatch) or a
+/// Fails when any stored tensor is malformed (shape/data mismatch), a
+/// weight or bias is non-finite ([`NeuralError::NonFiniteParam`]), or a
 /// layer rejects its weights.
 pub fn from_spec(spec: NetworkSpec) -> Result<Network> {
     let mut net = Network::new();
-    for layer in spec.layers {
+    for (i, layer) in spec.layers.into_iter().enumerate() {
         let boxed: Box<dyn Layer> = match layer {
             LayerSpec::Dense { weight, bias } => Box::new(Dense::from_parts(
-                weight.into_tensor()?,
-                bias.into_tensor()?,
+                weight.into_param(i, "weight")?,
+                bias.into_param(i, "bias")?,
             )?),
             LayerSpec::Conv2d {
                 weight,
@@ -157,8 +169,8 @@ pub fn from_spec(spec: NetworkSpec) -> Result<Network> {
                 stride,
                 padding,
             } => Box::new(Conv2d::from_parts(
-                weight.into_tensor()?,
-                bias.into_tensor()?,
+                weight.into_param(i, "weight")?,
+                bias.into_param(i, "bias")?,
                 Conv2dSpec::new(stride, padding),
             )?),
             LayerSpec::ReLU => Box::new(ReLU::new()),
@@ -277,6 +289,24 @@ mod tests {
     fn malformed_json_is_rejected() {
         assert!(from_json("not json").is_err());
         assert!(from_json("{\"layers\": [{\"Dense\": {\"weight\": {\"shape\": [2, 2], \"data\": [1.0]}, \"bias\": {\"shape\": [2], \"data\": [0.0, 0.0]}}}]}").is_err());
+    }
+
+    #[test]
+    fn non_finite_params_are_rejected() {
+        let net = autoencoder(6, &[3], 0).unwrap();
+        for (layer, param, bad) in [(0, "weight", f32::INFINITY), (2, "bias", f32::NAN)] {
+            let mut spec = to_spec(&net).unwrap();
+            let LayerSpec::Dense { weight, bias } = &mut spec.layers[layer] else {
+                panic!("layer {layer} is dense");
+            };
+            let target = if param == "weight" { weight } else { bias };
+            target.data[1] = bad;
+            let err = from_spec(spec).unwrap_err();
+            assert!(
+                matches!(err, NeuralError::NonFiniteParam { layer: l, param: p } if l == layer && p == param),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The algorithm, as described in the paper's §III.B:
 //!
-//! 1. run a forward pass, keeping each convolutional block's feature maps
-//!    (after their ReLU),
+//! 1. run a forward pass up to the deepest convolutional block, keeping
+//!    each block's feature maps (after their ReLU),
 //! 2. average each block's feature maps over channels,
 //! 3. starting from the deepest averaged map, repeatedly *deconvolve* the
 //!    running mask up to the previous block's resolution (transposed
@@ -175,14 +175,16 @@ pub fn visual_backprop(network: &Network, image: &Image) -> Result<Image> {
             averages,
         } = &mut *ws;
         conv_blocks_into(network, blocks);
-        if blocks.is_empty() {
+        let Some(deepest) = blocks.last() else {
             return Err(SaliencyError::invalid(
                 "visual_backprop",
                 "network contains no convolutional layers",
             ));
-        }
+        };
         let input = image_to_batch(image)?;
-        network.forward_collect_into(&input, acts)?;
+        // Stop at the deepest averaged activation: the head after it
+        // (flatten, dense, tanh) does not feed the mask.
+        network.forward_collect_into(&input, deepest.act_index + 1, acts)?;
 
         // Channel-averaged feature map per block, shallow → deep.
         averages.clear();

@@ -16,9 +16,10 @@ use std::sync::Mutex;
 
 use ndtensor::routines::{self, GemmOp};
 use ndtensor::{
-    conv2d, conv2d_into, matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into,
-    matmul_into, set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
+    conv2d, conv2d_into, matmul, matmul_at_b, matmul_at_b_into, matmul_into, set_thread_config,
+    Conv2dSpec, Tensor, ThreadConfig,
 };
+use neural::layer::{Dense, Layer};
 use proptest::prelude::*;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -158,8 +159,10 @@ proptest! {
         })?;
     }
 
-    /// Same contract for the transposed-B kernel, whose production
-    /// implementation runs 8 independent per-column accumulators.
+    /// Same contract for every routine of the transposed-B family (the
+    /// convolution backward pass's dW GEMM, which selects a routine
+    /// directly and has no public entry point), run whole-problem
+    /// through the shared measurement body.
     #[test]
     fn matmul_a_bt_bitwise_matches_naive(
         m in 1usize..10,
@@ -167,17 +170,53 @@ proptest! {
         n in 1usize..96,
         seed in 0u64..1000,
     ) {
-        let _guard = lock();
         let a = pseudo([m, k], seed);
         let b = pseudo([n, k], seed + 7);
         let reference = naive_matmul_a_bt(a.as_slice(), b.as_slice(), m, k, n);
-        assert_parity_across_threads(&reference, "matmul_a_bt", || {
-            matmul_a_bt(&a, &b).unwrap().as_slice().to_vec()
+        for routine in routines::candidates(GemmOp::MatMulABt, m, k, n) {
+            let mut out = vec![f32::NAN; m * n];
+            routines::run_serial(routine, m, k, n, a.as_slice(), b.as_slice(), &mut out);
+            prop_assert!(bits(&out) == bits(&reference), "{} m{m} k{k} n{n}", routine.name);
+        }
+    }
+
+    /// `Dense::forward` and `forward_train`, which multiply by a cached
+    /// transposed weight panel through `matmul`, reproduce the schoolbook
+    /// `Σ_l x[i][l]·W[j][l]` chain started at +0, plus bias, bit for bit:
+    /// at every thread count, on inputs with exact zeros and -0.0 (which
+    /// `matmul` skips and the schoolbook chain adds).
+    #[test]
+    fn dense_forward_bitwise_matches_schoolbook(
+        m in 1usize..=17,
+        k in 1usize..160,
+        n in 1usize..320,
+        zero_pick in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let _guard = lock();
+        let zero_every = [0, 2, 3][zero_pick];
+        let mut x = pseudo_sparse(m * k, seed, zero_every);
+        // Every other exact zero becomes -0.0.
+        for v in x.iter_mut().filter(|v| **v == 0.0).step_by(2) {
+            *v = -0.0;
+        }
+        let w = pseudo_sparse(n * k, seed + 7, 0);
+        let b = pseudo_sparse(n, seed + 13, 0);
+        let mut reference = naive_matmul_a_bt(&x, &w, m, k, n);
+        for (i, v) in reference.iter_mut().enumerate() {
+            *v += b[i % n];
+        }
+        let x = Tensor::from_vec([m, k], x).unwrap();
+        let mut layer = Dense::from_parts(
+            Tensor::from_vec([n, k], w).unwrap(),
+            Tensor::from_vec([n], b).unwrap(),
+        )
+        .unwrap();
+        assert_parity_across_threads(&reference, "Dense::forward", || {
+            layer.forward(&x).unwrap().as_slice().to_vec()
         })?;
-        assert_parity_across_threads(&reference, "matmul_a_bt_into", || {
-            let mut out = vec![0.0f32; m * n];
-            matmul_a_bt_into(&a, &b, &mut out).unwrap();
-            out
+        assert_parity_across_threads(&reference, "Dense::forward_train", || {
+            layer.forward_train(&x).unwrap().as_slice().to_vec()
         })?;
     }
 
@@ -435,11 +474,17 @@ fn tile_edge_shapes_match_naive_bitwise() {
             bits(&naive_matmul_at_b(at.as_slice(), b.as_slice(), m, k, n)),
             "matmul_at_b m{m} k{k} n{n}"
         );
-        assert_eq!(
-            bits(matmul_a_bt(&a, &bt).unwrap().as_slice()),
-            bits(&naive_matmul_a_bt(a.as_slice(), bt.as_slice(), m, k, n)),
-            "matmul_a_bt m{m} k{k} n{n}"
-        );
+        let reference = naive_matmul_a_bt(a.as_slice(), bt.as_slice(), m, k, n);
+        for routine in routines::candidates(GemmOp::MatMulABt, m, k, n) {
+            let mut out = vec![f32::NAN; m * n];
+            routines::run_serial(routine, m, k, n, a.as_slice(), bt.as_slice(), &mut out);
+            assert_eq!(
+                bits(&out),
+                bits(&reference),
+                "{} m{m} k{k} n{n}",
+                routine.name
+            );
+        }
     }
     set_thread_config(ThreadConfig::from_env());
 }

@@ -12,9 +12,10 @@
 
 use std::sync::Mutex;
 
+use ndtensor::routines::{self, GemmOp};
 use ndtensor::{
-    conv2d, conv2d_backward, matmul, matmul_a_bt, matmul_at_b, set_thread_config, Conv2dSpec,
-    Tensor, ThreadConfig,
+    conv2d, conv2d_backward, matmul, matmul_at_b, set_thread_config, Conv2dSpec, Tensor,
+    ThreadConfig,
 };
 use neural::models::{pilotnet, PilotNetConfig};
 use novelty::NoveltyDetectorBuilder;
@@ -69,7 +70,6 @@ fn matmul_kernels_are_bit_identical_across_thread_counts() {
         set_thread_config(ThreadConfig::serial());
         let ref_ab = matmul(&a, &b).unwrap();
         let ref_atb = matmul_at_b(&at, &b).unwrap();
-        let ref_abt = matmul_a_bt(&a, &bt).unwrap();
 
         for threads in THREAD_COUNTS {
             set_thread_config(ThreadConfig::new(threads));
@@ -83,11 +83,31 @@ fn matmul_kernels_are_bit_identical_across_thread_counts() {
                 bits(ref_atb.as_slice()),
                 "matmul_at_b seed={seed} threads={threads}"
             );
-            assert_eq!(
-                bits(matmul_a_bt(&a, &bt).unwrap().as_slice()),
-                bits(ref_abt.as_slice()),
-                "matmul_a_bt seed={seed} threads={threads}"
-            );
+        }
+
+        // The `A·Bᵀ` family has no threaded entry point (the convolution
+        // backward pass calls it per sample): split its rows into as
+        // many contiguous chunks as the pool would, for every routine.
+        let (m, k, n) = (128, 96, 144);
+        let mut ref_abt = vec![0.0f32; m * n];
+        let default = routines::default_routine(GemmOp::MatMulABt);
+        routines::run_serial(default, m, k, n, a.as_slice(), bt.as_slice(), &mut ref_abt);
+        for routine in routines::candidates(GemmOp::MatMulABt, m, k, n) {
+            for chunks in THREAD_COUNTS {
+                let mut out = vec![f32::NAN; m * n];
+                let per = m.div_ceil(chunks);
+                for (c, block) in out.chunks_mut(per * n).enumerate() {
+                    let rows = block.len() / n;
+                    let a_rows = &a.as_slice()[c * per * k..(c * per + rows) * k];
+                    (routine.kernel)(a_rows, rows, k, bt.as_slice(), n, block);
+                }
+                assert_eq!(
+                    bits(&out),
+                    bits(&ref_abt),
+                    "{} seed={seed} chunks={chunks}",
+                    routine.name
+                );
+            }
         }
     }
 }

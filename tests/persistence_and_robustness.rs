@@ -57,6 +57,26 @@ fn detector_file_roundtrip_preserves_everything_observable() {
 }
 
 #[test]
+fn non_finite_weights_are_rejected_at_load() {
+    let (detector, _) = trained_detector();
+    let dir = std::env::temp_dir().join("saliency_novelty_integration_nonfinite");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("overflowing_weight.json");
+    save_detector(&detector, &path).unwrap();
+    let json = std::fs::read_to_string(&path).unwrap();
+    // The first number of the first weight tensor's data becomes 1e39,
+    // which overflows f32 to +inf when parsed.
+    let weight = json.find("\"weight\"").expect("detector has weights");
+    let start = weight + json[weight..].find("\"data\":[").unwrap() + "\"data\":[".len();
+    let end = start + json[start..].find([',', ']']).unwrap();
+    std::fs::write(&path, format!("{}1e39{}", &json[..start], &json[end..])).unwrap();
+    let loaded = NoveltyDetector::load(&path);
+    std::fs::remove_file(&path).ok();
+    let err = loaded.expect_err("a non-finite weight must not load");
+    assert!(err.to_string().contains("non-finite"), "{err}");
+}
+
+#[test]
 fn wrong_image_sizes_error_instead_of_misclassifying() {
     let (detector, _) = trained_detector();
     let too_small = Image::new(10, 10).unwrap();

@@ -1,5 +1,5 @@
-//! Manual perf probe: times every registered routine on the bench's
-//! measured shapes. Run with
+//! Manual perf probe: times every registered routine on the GEMM shapes
+//! a scored frame runs. Run with
 //! `cargo test --release --test routine_probe -- --ignored --nocapture`.
 
 use std::time::Instant;
@@ -23,15 +23,19 @@ fn fill(buf: &mut [f32], seed: u64, zero_every: usize) {
 #[test]
 #[ignore = "manual perf probe"]
 fn probe() {
+    // The GEMMs one scored 60×160 frame runs (the frame-verdict
+    // benchmark's traced run prints the same list as `# shape` lines):
+    // the five PilotNet conv layers as im2col GEMMs, then the
+    // autoencoder's large dense layers at batch 1 on their transposed
+    // weight panels (encode, decode).
     let shapes = [
         (GemmOp::MatMul, 8, 25, 2184),
+        (GemmOp::MatMul, 12, 200, 444),
         (GemmOp::MatMul, 16, 300, 68),
-        (GemmOp::MatMulABt, 1, 64, 9600),
-        (GemmOp::MatMulABt, 1, 9600, 64),
-        (GemmOp::MatMulAtB, 32, 64, 9600),
-        (GemmOp::MatMulAtB, 25, 8, 2184),
-        // conv forward shape (PilotNet conv1 as GEMM) and zero-heavy A.
-        (GemmOp::MatMul, 24, 75, 1748),
+        (GemmOp::MatMul, 20, 144, 68),
+        (GemmOp::MatMul, 20, 180, 68),
+        (GemmOp::MatMul, 1, 9600, 64),
+        (GemmOp::MatMul, 1, 64, 9600),
     ];
     for (op, m, k, n) in shapes {
         let (a_len, b_len) = match op {
