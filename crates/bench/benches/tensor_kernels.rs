@@ -1,4 +1,4 @@
-//! Throughput of the numeric substrate: GEMM and im2col convolution at
+//! Throughput of the numeric substrate: GEMM and convolution at
 //! the sizes the pipeline actually runs (autoencoder dense layers,
 //! PilotNet conv layers).
 

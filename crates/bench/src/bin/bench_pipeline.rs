@@ -45,7 +45,7 @@ const BENCH_SCHEMA_CHECK_FLOOR: u32 = 2;
 struct KernelBench {
     /// Kernel entry point measured.
     kernel: String,
-    /// Human-readable shape, e.g. `m8 k25 n4212`.
+    /// Human-readable shape, e.g. `m16 k9600 n64`.
     shape: String,
     /// Mean wall time per call, nanoseconds.
     ns_per_iter: f64,
@@ -194,17 +194,18 @@ fn pseudo(shape: impl Into<ndtensor::Shape>, seed: u64) -> Tensor {
     })
 }
 
-/// Pipeline-representative GEMM shapes: the first PilotNet conv layer as
-/// im2col GEMM (compact widths, 60×160 input), a mid conv layer, and the
-/// autoencoder's large dense layers at batch 1 (the streaming case),
-/// which multiply by the transposed weight panel `Wᵀ: [in, out]`.
-/// Shared by the entry-point benches and the per-routine sweep so the
-/// two views of the same shape are directly comparable.
+/// Pipeline-representative GEMM shapes: the autoencoder's large dense
+/// layers at batch 1 (the streaming case) and at batch 16 (a coalesced
+/// serve tick), which multiply by the transposed weight panel
+/// `Wᵀ: [in, out]`, plus the training path's backward shapes. (The conv
+/// forward runs its own implicit GEMM and selects no routine.) Shared by
+/// the entry-point benches and the per-routine sweep so the two views of
+/// the same shape are directly comparable.
 const GEMM_CASES: &[(&str, usize, usize, usize)] = &[
-    // conv1 as GEMM: f=8 filters, k=1*5*5, n=28*78 output pixels.
-    ("matmul", 8, 25, 2184),
-    // conv3 as GEMM: f=16, k=12*5*5, n=4*17.
-    ("matmul", 16, 300, 68),
+    // dense encode at batch 16: [16, 9600] x [9600, 64].
+    ("matmul", 16, 9600, 64),
+    // dense decode head at batch 16: [16, 64] x [64, 9600].
+    ("matmul", 16, 64, 9600),
     // dense encode at batch 1: [1, 9600] x [9600, 64].
     ("matmul", 1, 9600, 64),
     // dense decode head at batch 1: [1, 64] x [64, 9600].

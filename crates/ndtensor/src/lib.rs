@@ -8,8 +8,8 @@
 //! the reproduction of *"Novelty Detection via Network Saliency in
 //! Visual-based Deep Learning"* (DSN 2019): shapes, contiguous row-major
 //! tensors, elementwise and reduction kernels, a blocked multi-threaded
-//! GEMM, im2col-based 2-D convolution (forward and backward), resampling,
-//! and random initialisation.
+//! GEMM, 2-D convolution (implicit-GEMM forward, im2col backward),
+//! resampling, and random initialisation.
 //!
 //! The design goals are, in order: correctness (every kernel has a naive
 //! reference implementation it is tested against), determinism (no

@@ -14,8 +14,8 @@
 //!   exclusively through a [`KernelTimer`] injected by `obs`.
 //!
 //! Selection is performance-only by construction: the entry points in
-//! [`crate::matmul`] and [`crate::conv`] select once per call on the
-//! caller thread and hand the chosen kernel fn to the row-parallel
+//! [`crate::matmul`] and the convolution backward pass select once per
+//! call on the caller thread and hand the chosen kernel fn to the row-parallel
 //! workers, and every family member produces bit-identical output, so
 //! neither the policy, the thread count, nor the autotune knob can change
 //! a single output bit.

@@ -11,7 +11,7 @@ use ndtensor::Tensor;
 use neural::loss::{Loss, MseLoss, SsimDissimilarityLoss};
 use neural::models::autoencoder;
 use neural::optim::Adam;
-use neural::{fit_recorded, Network, TrainConfig};
+use neural::{fit_recorded, LayerKind, Network, TrainConfig};
 use serde::{Deserialize, Serialize};
 use vision::Image;
 
@@ -203,13 +203,29 @@ impl AutoencoderClassifier {
     ///
     /// # Errors
     ///
-    /// Fails when the network rejects a probe image of the given size.
+    /// Fails when `height × width` does not match the input features of
+    /// the network's first dense layer — checked before anything is
+    /// allocated, so a corrupt size cannot trigger a huge allocation —
+    /// or when the network rejects a probe image of that size.
     pub fn from_parts(
         network: Network,
         height: usize,
         width: usize,
         objective: ReconstructionObjective,
     ) -> Result<Self> {
+        let in_features = network.layers().iter().find_map(|l| match l.kind() {
+            LayerKind::Dense { in_features, .. } => Some(in_features),
+            _ => None,
+        });
+        if height.checked_mul(width).is_none() || in_features != Some(height * width) {
+            return Err(NoveltyError::invalid(
+                "AutoencoderClassifier::from_parts",
+                format!(
+                    "{height}x{width} frames do not match the autoencoder's input features ({})",
+                    in_features.map_or("no dense layer".to_string(), |n| n.to_string())
+                ),
+            ));
+        }
         let probe = Tensor::zeros([1, height * width]);
         let out = network.forward(&probe)?;
         if out.shape().dims() != [1, height * width] {

@@ -9,7 +9,6 @@
 //! streaming runtime can route rejects to its fallback policy and feed
 //! its health state machine with structured evidence.
 
-use simdrive::frame_digest;
 use vision::Image;
 
 use crate::{NoveltyError, Result};
@@ -150,6 +149,12 @@ impl GateConfig {
                 "expected dimensions must be non-zero",
             ));
         }
+        if self.expected.0.checked_mul(self.expected.1).is_none() {
+            return Err(NoveltyError::invalid(
+                "FrameGate",
+                "expected dimensions overflow the pixel count",
+            ));
+        }
         // partial_cmp so NaN thresholds are rejected, not admitted.
         if self.min_pixel.partial_cmp(&self.max_pixel) != Some(std::cmp::Ordering::Less) {
             return Err(NoveltyError::invalid(
@@ -172,9 +177,10 @@ impl GateConfig {
 
 /// Stateful frame validator for one stream.
 ///
-/// The only state is the stuck-frame tracker (last digest and run
-/// length), so gating is deterministic: the same frame sequence always
-/// produces the same sequence of [`FrameFault`]s.
+/// The only state is the stuck-frame tracker (the previous right-size
+/// frame's pixel bits and the run length), so gating is deterministic:
+/// the same frame sequence always produces the same sequence of
+/// [`FrameFault`]s.
 ///
 /// # Example
 ///
@@ -194,7 +200,10 @@ impl GateConfig {
 #[derive(Debug, Clone)]
 pub struct FrameGate {
     config: GateConfig,
-    last_digest: Option<u64>,
+    /// Pixel bits of the previous delivered frame when it had the
+    /// expected size; empty when there is none. Sized once at
+    /// construction, so admitting never allocates.
+    last: Vec<u32>,
     run: usize,
 }
 
@@ -206,9 +215,10 @@ impl FrameGate {
     /// Fails when the configuration is internally inconsistent.
     pub fn new(config: GateConfig) -> Result<Self> {
         config.validate()?;
+        let pixels = config.expected.0 * config.expected.1;
         Ok(FrameGate {
             config,
-            last_digest: None,
+            last: Vec::with_capacity(pixels),
             run: 0,
         })
     }
@@ -228,7 +238,9 @@ impl FrameGate {
     /// finiteness, range, black/saturated, stuck. The stuck tracker
     /// advances on every *delivered* frame (even rejected ones), so a
     /// frozen feed of corrupt frames still reads as frozen once it
-    /// recovers pixel validity.
+    /// recovers pixel validity. "Identical" is exact: every pixel's
+    /// `f32` bits match, so a one-ulp change or a different NaN payload
+    /// breaks the run.
     #[must_use = "ignoring the gate's classification feeds unvetted frames to the detector"]
     pub fn admit(&mut self, frame: Option<&Image>) -> Option<FrameFault> {
         let Some(frame) = frame else {
@@ -236,42 +248,43 @@ impl FrameGate {
             // sensor interleaving drops is still frozen).
             return Some(FrameFault::MissingFrame);
         };
-        let digest = frame_digest(frame);
-        let run = if self.last_digest == Some(digest) {
-            self.run + 1
-        } else {
-            1
-        };
-        self.last_digest = Some(digest);
-        self.run = run;
-
         let got = (frame.height(), frame.width());
         if got != self.config.expected {
+            // A right-size frame can never equal this one, so the next
+            // one starts a fresh run.
+            self.reset();
             return Some(FrameFault::WrongDimensions {
                 expected: self.config.expected,
                 got,
             });
         }
-        let mut non_finite = 0usize;
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        let mut sum = 0.0f64;
-        for &px in frame.as_slice() {
-            if !px.is_finite() {
-                non_finite += 1;
-                continue;
-            }
-            min = min.min(px);
-            max = max.max(px);
-            sum += px as f64;
+        let pixels = frame.as_slice();
+        let repeat = !self.last.is_empty() && same_bits(&self.last, pixels);
+        if repeat {
+            self.run += 1;
+        } else {
+            self.run = 1;
+            self.last.clear();
+            self.last.extend(pixels.iter().map(|px| px.to_bits()));
         }
-        if non_finite > 0 {
-            return Some(FrameFault::NonFinitePixels { count: non_finite });
+        let run = self.run;
+
+        let stats = PixelStats::lanes(pixels);
+        if stats.non_finite > 0 {
+            return Some(FrameFault::NonFinitePixels {
+                count: stats.non_finite,
+            });
         }
-        if min < self.config.min_pixel || max > self.config.max_pixel {
-            return Some(FrameFault::OutOfRangePixels { min, max });
+        if stats.min < self.config.min_pixel || stats.max > self.config.max_pixel {
+            // Report the extremes the in-order scan finds (they differ
+            // from the lane scan's at most in the sign of a zero).
+            let exact = PixelStats::in_order(pixels);
+            return Some(FrameFault::OutOfRangePixels {
+                min: exact.min,
+                max: exact.max,
+            });
         }
-        let mean = (sum / frame.len() as f64) as f32;
+        let mean = stats.mean(pixels, [self.config.black_mean, self.config.saturated_mean]);
         if mean <= self.config.black_mean {
             return Some(FrameFault::AllBlack);
         }
@@ -286,9 +299,112 @@ impl FrameGate {
 
     /// Forgets the stuck-frame history (e.g. after a camera restart).
     pub fn reset(&mut self) {
-        self.last_digest = None;
+        self.last.clear();
         self.run = 0;
     }
+}
+
+/// Non-finite count, extremes and `f64` sum of a frame's pixels; the
+/// extremes and sum cover finite pixels only, and only matter when
+/// there are no non-finite ones.
+struct PixelStats {
+    non_finite: usize,
+    min: f32,
+    max: f32,
+    sum: f64,
+}
+
+impl PixelStats {
+    /// One pass in the pixel order: the definition the gate's
+    /// classifications are held to.
+    fn in_order(pixels: &[f32]) -> PixelStats {
+        let mut stats = PixelStats {
+            non_finite: 0,
+            min: f32::INFINITY,
+            max: f32::NEG_INFINITY,
+            sum: 0.0,
+        };
+        for &px in pixels {
+            if !px.is_finite() {
+                stats.non_finite += 1;
+                continue;
+            }
+            stats.min = stats.min.min(px);
+            stats.max = stats.max.max(px);
+            stats.sum += px as f64;
+        }
+        stats
+    }
+
+    /// The same statistics over `LANES` interleaved lanes, which
+    /// vectorizes where the in-order pass is one long add chain. The
+    /// count is exact; on all-finite frames the extremes equal the
+    /// in-order ones up to the sign of a zero, and the sum differs by
+    /// rounding only (see [`PixelStats::mean`]).
+    fn lanes(pixels: &[f32]) -> PixelStats {
+        const LANES: usize = 8;
+        let mut bad = [0usize; LANES];
+        let mut lo = [f32::INFINITY; LANES];
+        let mut hi = [f32::NEG_INFINITY; LANES];
+        let mut sum = [0.0f64; LANES];
+        let chunks = pixels.chunks_exact(LANES);
+        let tail = PixelStats::in_order(chunks.remainder());
+        for chunk in chunks {
+            for t in 0..LANES {
+                let px = chunk[t];
+                bad[t] += usize::from(!px.is_finite());
+                lo[t] = lo[t].min(px);
+                hi[t] = hi[t].max(px);
+                sum[t] += px as f64;
+            }
+        }
+        PixelStats {
+            non_finite: tail.non_finite + bad.iter().sum::<usize>(),
+            min: lo.iter().fold(tail.min, |a, &b| a.min(b)),
+            max: hi.iter().fold(tail.max, |a, &b| a.max(b)),
+            sum: tail.sum + sum.iter().sum::<f64>(),
+        }
+    }
+
+    /// The frame mean as the in-order pass computes it, for comparison
+    /// against `thresholds`. Both sums carry at most `(n+1)·u·Σ|px|` of
+    /// rounding (`u` the f64 unit roundoff), so the lane mean is within
+    /// `2(n+2)·u·max|px|` of the in-order one, and an `f32` comparison
+    /// can only flip within half an `f32` ulp (or, near zero, one
+    /// subnormal step) of a threshold. A lane mean farther than both
+    /// from every threshold decides exactly as the in-order one; a
+    /// nearer one is recomputed in order.
+    fn mean(&self, pixels: &[f32], thresholds: [f32; 2]) -> f32 {
+        let n = pixels.len() as f64;
+        let mean = self.sum / n;
+        let magnitude = f64::from(self.min.abs().max(self.max.abs()));
+        let near = thresholds.iter().any(|&t| {
+            let t = f64::from(t);
+            let slack = t.abs() * f64::from(f32::EPSILON)
+                + 4.0 * (n + 1.0) * f64::EPSILON * magnitude
+                + f64::from(f32::MIN_POSITIVE);
+            (mean - t).abs() <= slack
+        });
+        if near {
+            (PixelStats::in_order(pixels).sum / n) as f32
+        } else {
+            mean as f32
+        }
+    }
+}
+
+/// Whether `pixels` has exactly the bit patterns in `bits` (equal
+/// lengths assumed). Compares 16-pixel chunks with a branch-free XOR
+/// fold, which vectorizes.
+fn same_bits(bits: &[u32], pixels: &[f32]) -> bool {
+    const LANES: usize = 16;
+    let diff = |a: &[u32], b: &[f32]| {
+        a.iter()
+            .zip(b)
+            .fold(0u32, |acc, (&x, &y)| acc | (x ^ y.to_bits()))
+    };
+    let (a, b) = (bits.chunks_exact(LANES), pixels.chunks_exact(LANES));
+    diff(a.remainder(), b.remainder()) == 0 && a.zip(b).all(|(x, y)| diff(x, y) == 0)
 }
 
 #[cfg(test)]
@@ -434,6 +550,164 @@ mod tests {
         assert_eq!(classes, FrameFault::all_classes());
         for fault in &faults {
             assert!(!fault.to_string().is_empty());
+        }
+    }
+
+    /// The gate as it was before exact stuck tracking and lane
+    /// statistics: a `frame_digest` run tracker updated by every
+    /// delivered frame, then one in-order pixel pass.
+    struct DigestGate {
+        config: GateConfig,
+        last_digest: Option<u64>,
+        run: usize,
+    }
+
+    impl DigestGate {
+        fn admit(&mut self, frame: Option<&Image>) -> Option<FrameFault> {
+            let Some(frame) = frame else {
+                return Some(FrameFault::MissingFrame);
+            };
+            let digest = simdrive::frame_digest(frame);
+            let run = if self.last_digest == Some(digest) {
+                self.run + 1
+            } else {
+                1
+            };
+            self.last_digest = Some(digest);
+            self.run = run;
+            let got = (frame.height(), frame.width());
+            if got != self.config.expected {
+                return Some(FrameFault::WrongDimensions {
+                    expected: self.config.expected,
+                    got,
+                });
+            }
+            let mut non_finite = 0usize;
+            let mut min = f32::INFINITY;
+            let mut max = f32::NEG_INFINITY;
+            let mut sum = 0.0f64;
+            for &px in frame.as_slice() {
+                if !px.is_finite() {
+                    non_finite += 1;
+                    continue;
+                }
+                min = min.min(px);
+                max = max.max(px);
+                sum += px as f64;
+            }
+            if non_finite > 0 {
+                return Some(FrameFault::NonFinitePixels { count: non_finite });
+            }
+            if min < self.config.min_pixel || max > self.config.max_pixel {
+                return Some(FrameFault::OutOfRangePixels { min, max });
+            }
+            let mean = (sum / frame.len() as f64) as f32;
+            if mean <= self.config.black_mean {
+                return Some(FrameFault::AllBlack);
+            }
+            if mean >= self.config.saturated_mean {
+                return Some(FrameFault::Saturated);
+            }
+            if self.config.stuck_after > 0 && run > self.config.stuck_after {
+                return Some(FrameFault::StuckFrame { run });
+            }
+            None
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The gate agrees with the digest-based, in-order gate it
+        /// replaced, fault for fault (`StuckFrame { run }` for run, and
+        /// the reported extremes bit for bit), over sequences of
+        /// repeats, one-ulp edits, NaN frames with two payloads,
+        /// wrong-size frames, drops, fresh frames, frames whose mean
+        /// sits on the black or saturated threshold, and out-of-range
+        /// frames whose minimum is a signed zero.
+        #[test]
+        fn gate_matches_digest_gate(
+            ops in proptest::collection::vec((0u8..10, 0usize..55), 1..48),
+            stuck_after in 0usize..4,
+        ) {
+            // 55 pixels: three 16-pixel compare chunks plus a remainder,
+            // six 8-pixel stat lanes plus a remainder.
+            let (h, w) = (5, 11);
+            let fresh = |seed: f32| {
+                Image::from_fn(h, w, |y, x| {
+                    0.2 + 0.5 * ((y * w + x) as f32 * 0.07 + seed).sin().abs()
+                })
+                .unwrap()
+            };
+            let config = GateConfig {
+                stuck_after,
+                ..GateConfig::new(h, w)
+            };
+            let mut gate = FrameGate::new(config.clone()).unwrap();
+            let mut reference = DigestGate {
+                config: config.clone(),
+                last_digest: None,
+                run: 0,
+            };
+            let mut current = fresh(0.0);
+            let wrong = Image::filled(h, w - 1, 0.5).unwrap();
+            for (step, &(op, arg)) in ops.iter().enumerate() {
+                let frame = match op {
+                    // Repeat the current frame.
+                    0 | 1 => Some(current.clone()),
+                    // One-ulp edit of one pixel.
+                    2 => {
+                        let (y, x) = (arg / w, arg % w);
+                        let v = current.get(y, x);
+                        current.put(y, x, f32::from_bits(v.to_bits() + 1));
+                        Some(current.clone())
+                    }
+                    // A NaN pixel, with one of two payloads.
+                    3 => {
+                        let payload = 0x7fc0_0000 | (arg as u32 & 1);
+                        current.put(arg / w, arg % w, f32::from_bits(payload));
+                        Some(current.clone())
+                    }
+                    4 => Some(wrong.clone()),
+                    5 => None,
+                    // A frame whose mean sits on a threshold: every
+                    // pixel within two ulps of it.
+                    6 | 7 => {
+                        let t = if op == 6 {
+                            config.black_mean
+                        } else {
+                            config.saturated_mean
+                        };
+                        current = Image::from_fn(h, w, |y, x| {
+                            let ulps = ((y * w + x) * 7 + arg) % 5;
+                            f32::from_bits(t.to_bits() + ulps as u32 - 2)
+                        })
+                        .unwrap();
+                        Some(current.clone())
+                    }
+                    // Out of range, with both signed zeros as the minimum.
+                    8 => {
+                        current = fresh(arg as f32);
+                        current.put(0, arg % w, 0.0);
+                        current.put(1, (arg + 3) % w, -0.0);
+                        current.put(4, 10, 1.5);
+                        Some(current.clone())
+                    }
+                    // A fresh frame.
+                    _ => {
+                        current = fresh(arg as f32);
+                        Some(current.clone())
+                    }
+                };
+                let got = gate.admit(frame.as_ref());
+                let want = reference.admit(frame.as_ref());
+                // Debug forms tell -0.0 from 0.0.
+                proptest::prop_assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "step {} op {}", step, op
+                );
+            }
         }
     }
 

@@ -220,8 +220,9 @@ proptest! {
         })?;
     }
 
-    /// The convolution (im2col + packed GEMM) is bit-stable across thread
-    /// counts and between the allocating and workspace entry points.
+    /// The convolution (implicit GEMM over stride-phase planes) is
+    /// bit-stable across thread counts and between the allocating and
+    /// workspace entry points.
     #[test]
     fn conv2d_bitwise_stable_across_threads(
         n in 1usize..3,
@@ -246,6 +247,96 @@ proptest! {
         })?;
         assert_parity_across_threads(reference.as_slice(), "conv2d_into", || {
             let mut out = vec![0.0f32; reference.len()];
+            conv2d_into(&input, &weight, Some(&bias), spec, &mut out).unwrap();
+            out
+        })?;
+    }
+}
+
+/// Schoolbook convolution in the chain every conv forward must
+/// reproduce bit for bit: per output element start at +0, run the taps
+/// `(ci, ky, kx)` in ascending order, skip exact-zero weights, read
+/// padding as +0.0, then add the bias.
+#[allow(clippy::too_many_arguments)]
+fn schoolbook_conv(
+    x: &[f32],
+    wt: &[f32],
+    bias: &[f32],
+    [n, c, h, w]: [usize; 4],
+    [f, kh, kw]: [usize; 3],
+    spec: Conv2dSpec,
+) -> Vec<f32> {
+    let (oh, ow) = spec.output_hw(h, w, kh, kw).unwrap();
+    let (sh, sw) = spec.stride;
+    let (ph, pw) = spec.padding;
+    let mut out = Vec::with_capacity(n * f * oh * ow);
+    for ni in 0..n {
+        for fi in 0..f {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0f32;
+                    for ci in 0..c {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let a = wt[((fi * c + ci) * kh + ky) * kw + kx];
+                                if a == 0.0 {
+                                    continue;
+                                }
+                                let iy = (oy * sh + ky) as isize - ph as isize;
+                                let ix = (ox * sw + kx) as isize - pw as isize;
+                                let v = if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize
+                                {
+                                    0.0
+                                } else {
+                                    x[((ni * c + ci) * h + iy as usize) * w + ix as usize]
+                                };
+                                acc += a * v;
+                            }
+                        }
+                    }
+                    out.push(acc + bias[fi]);
+                }
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `conv2d` and `conv2d_into` reproduce the schoolbook chain bit for
+    /// bit at every thread count, over strides, paddings and kernel
+    /// sizes that give outputs narrower than one register block, single
+    /// output columns, exact-zero weights and ±0.0 inputs.
+    #[test]
+    fn conv2d_bitwise_matches_schoolbook(
+        (n, c, f) in (1usize..=3, 1usize..=4, 1usize..=5),
+        (h, w) in (1usize..=20, 1usize..=20),
+        (kh, kw) in (1usize..=5, 1usize..=5),
+        (sh, sw, ph, pw) in (1usize..=3, 1usize..=3, 0usize..=2, 0usize..=2),
+        zero_pick in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let _guard = lock();
+        // Clamp the kernel to the padded input so every case runs.
+        let (kh, kw) = (kh.min(h + 2 * ph), kw.min(w + 2 * pw));
+        let spec = Conv2dSpec::new((sh, sw), (ph, pw));
+        let mut x = pseudo_sparse(n * c * h * w, seed, 5);
+        for v in x.iter_mut().filter(|v| **v == 0.0).step_by(2) {
+            *v = -0.0;
+        }
+        let wt = pseudo_sparse(f * c * kh * kw, seed + 7, [0, 2, 3][zero_pick]);
+        let b = pseudo_sparse(f, seed + 13, 0);
+        let reference = schoolbook_conv(&x, &wt, &b, [n, c, h, w], [f, kh, kw], spec);
+        let input = Tensor::from_vec([n, c, h, w], x).unwrap();
+        let weight = Tensor::from_vec([f, c, kh, kw], wt).unwrap();
+        let bias = Tensor::from_vec([f], b).unwrap();
+        assert_parity_across_threads(&reference, "conv2d", || {
+            conv2d(&input, &weight, Some(&bias), spec).unwrap().as_slice().to_vec()
+        })?;
+        assert_parity_across_threads(&reference, "conv2d_into", || {
+            let mut out = vec![f32::NAN; reference.len()];
             conv2d_into(&input, &weight, Some(&bias), spec, &mut out).unwrap();
             out
         })?;

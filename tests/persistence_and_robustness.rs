@@ -77,6 +77,25 @@ fn non_finite_weights_are_rejected_at_load() {
 }
 
 #[test]
+fn absurd_frame_geometry_is_rejected_before_allocating() {
+    let (detector, _) = trained_detector();
+    let dir = std::env::temp_dir().join("saliency_novelty_integration_geometry");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge_height.json");
+    save_detector(&detector, &path).unwrap();
+    let json = std::fs::read_to_string(&path).unwrap();
+    // A 1e9-row frame would need a 320 GB probe; the load must refuse
+    // the geometry instead of attempting that allocation.
+    let edited = json.replacen("\"height\":40,", "\"height\":1000000000,", 1);
+    assert_ne!(edited, json, "the detector file records its height");
+    std::fs::write(&path, edited).unwrap();
+    let loaded = NoveltyDetector::load(&path);
+    std::fs::remove_file(&path).ok();
+    let err = loaded.expect_err("an absurd height must not load");
+    assert!(err.to_string().contains("1000000000x80"), "{err}");
+}
+
+#[test]
 fn wrong_image_sizes_error_instead_of_misclassifying() {
     let (detector, _) = trained_detector();
     let too_small = Image::new(10, 10).unwrap();

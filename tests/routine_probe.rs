@@ -23,20 +23,11 @@ fn fill(buf: &mut [f32], seed: u64, zero_every: usize) {
 #[test]
 #[ignore = "manual perf probe"]
 fn probe() {
-    // The GEMMs one scored 60×160 frame runs (the frame-verdict
-    // benchmark's traced run prints the same list as `# shape` lines):
-    // the five PilotNet conv layers as im2col GEMMs, then the
+    // The registry GEMMs one scored 60×160 frame runs: the
     // autoencoder's large dense layers at batch 1 on their transposed
-    // weight panels (encode, decode).
-    let shapes = [
-        (GemmOp::MatMul, 8, 25, 2184),
-        (GemmOp::MatMul, 12, 200, 444),
-        (GemmOp::MatMul, 16, 300, 68),
-        (GemmOp::MatMul, 20, 144, 68),
-        (GemmOp::MatMul, 20, 180, 68),
-        (GemmOp::MatMul, 1, 9600, 64),
-        (GemmOp::MatMul, 1, 64, 9600),
-    ];
+    // weight panels (encode, decode). The five PilotNet conv layers run
+    // the conv forward's own implicit GEMM and select no routine.
+    let shapes = [(GemmOp::MatMul, 1, 9600, 64), (GemmOp::MatMul, 1, 64, 9600)];
     for (op, m, k, n) in shapes {
         let (a_len, b_len) = match op {
             GemmOp::MatMul => (m * k, k * n),
