@@ -1,10 +1,9 @@
 //! Machine-readable perf baseline for the scoring hot path.
 //!
 //! Emits `BENCH_pipeline.json`: kernel-level ns/iter for the GEMM
-//! variants at pipeline-representative shapes, plus (schema v3) every
-//! registered routine timed at each measured shape with the selector's
-//! per-shape decision and autotune cache counters, plus end-to-end
-//! single-thread `score_batch` and `StreamRuntime` frames/sec, plus
+//! entry points at pipeline-representative shapes, plus (schema v4) the
+//! kernel `routines::select` runs at each of those shapes, plus
+//! end-to-end single-thread `score_batch` and `StreamRuntime` frames/sec, plus
 //! scratch-pool hit statistics, plus multi-tenant `StreamServer`
 //! aggregate throughput at growing fleet sizes with the per-tenant
 //! sequential baseline the coalesced batch must beat. The schema is
@@ -15,10 +14,10 @@
 //!
 //! `--check PATH` loads a previously committed baseline and exits
 //! non-zero if end-to-end frames/sec regressed more than 20% against it
-//! (the CI bench-smoke gate). Baselines one schema generation older
-//! (v2) are accepted: the gated fields exist unchanged in both layouts,
-//! so comparisons stay like-for-like. `--quick` shrinks iteration
-//! counts for smoke runs.
+//! (the CI bench-smoke gate). Baselines back to schema v2 are accepted:
+//! the gated fields exist unchanged in every layout since, so
+//! comparisons stay like-for-like. `--quick` shrinks iteration counts
+//! for smoke runs.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -34,14 +33,14 @@ use simdrive::DatasetConfig;
 use vision::Image;
 
 /// Bump on breaking changes to the JSON layout.
-const BENCH_SCHEMA_VERSION: u32 = 3;
+const BENCH_SCHEMA_VERSION: u32 = 4;
 
 /// Oldest baseline schema `--check` still compares against: every gated
 /// field (pipeline and serve frames/sec) is unchanged since v2.
 const BENCH_SCHEMA_CHECK_FLOOR: u32 = 2;
 
 /// One kernel microbenchmark result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct KernelBench {
     /// Kernel entry point measured.
     kernel: String,
@@ -51,51 +50,18 @@ struct KernelBench {
     ns_per_iter: f64,
 }
 
-/// One registered routine timed at one measured shape (schema v3),
-/// through the same `routines::run_serial` body the autotuner measures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RoutineBench {
-    /// GEMM family (`matmul`, `matmul_at_b`).
-    op: String,
-    /// Human-readable shape, e.g. `m32 k64 n9600`.
-    shape: String,
-    /// Stable registry name of the routine.
-    routine: String,
-    /// Mean wall time per whole-problem call, nanoseconds.
-    ns_per_iter: f64,
-    /// Whether the selector picked this routine for this shape.
-    selected: bool,
-    /// Whether this is the family's priority-0 (PR 5) default.
-    family_default: bool,
-}
-
-/// The selector's decision at one measured shape (schema v3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The kernel selected at one measured shape (schema v4).
+#[derive(Debug, Clone, Serialize)]
 struct SelectionBench {
     /// GEMM family.
     op: String,
-    /// Human-readable shape.
+    /// Human-readable shape, e.g. `m32 k64 n9600`.
     shape: String,
-    /// Routine the selector chose under the run's autotune mode.
+    /// Name of the kernel `routines::select` runs for this shape.
     routine: String,
-    /// Whether the choice came from a measured table entry (autotune on
-    /// with a timer) rather than the static heuristic.
-    measured: bool,
-}
-
-/// Autotune cache counters over the whole bench run (schema v3).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct AutotuneBench {
-    /// `on` or `off` — resolved `SALIENCY_AUTOTUNE` for this run.
-    mode: String,
-    /// Total selector lookups.
-    lookups: u64,
-    /// Lookups answered from the cached selection table.
-    table_hits: u64,
-    /// Shapes decided by measurement.
-    measured: u64,
-    /// Lookups decided by the static heuristic.
-    heuristic: u64,
+    /// Mean wall time per entry-point call, nanoseconds (the matching
+    /// `kernels` row).
+    ns_per_iter: f64,
 }
 
 /// End-to-end throughput numbers (single thread).
@@ -108,7 +74,7 @@ struct PipelineBench {
 }
 
 /// Scratch-pool effectiveness over the stream run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct ScratchBench {
     /// Pool takes served from a recycled buffer.
     hits: u64,
@@ -144,7 +110,7 @@ struct ServeBench {
 }
 
 /// The whole report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct BenchReport {
     /// [`BENCH_SCHEMA_VERSION`] at write time.
     schema_version: u32,
@@ -154,14 +120,8 @@ struct BenchReport {
     image_hw: Vec<u64>,
     /// Kernel microbenchmarks.
     kernels: Vec<KernelBench>,
-    /// Per-routine timings at every measured shape (schema v3; `None`
-    /// when parsing an older baseline — the vendored serde maps a
-    /// missing field to `None`, keeping v2 baselines loadable).
-    routines: Option<Vec<RoutineBench>>,
-    /// The selector's per-shape decisions (schema v3).
-    selections: Option<Vec<SelectionBench>>,
-    /// Autotune cache counters for the run (schema v3).
-    autotune: Option<AutotuneBench>,
+    /// The kernel selected at every measured shape.
+    selections: Vec<SelectionBench>,
     /// End-to-end throughput.
     pipeline: PipelineBench,
     /// Scratch-pool statistics for the stream segment.
@@ -171,6 +131,18 @@ struct BenchReport {
     /// Numbers measured at the pre-PR kernels on the same machine, for
     /// the recorded before/after trajectory. Empty when not applicable.
     reference: Vec<PipelineBench>,
+}
+
+/// The fields `--check` gates, which every layout since schema v2
+/// carries unchanged.
+#[derive(Debug, Clone, Deserialize)]
+struct Baseline {
+    /// Schema the baseline was written at.
+    schema_version: u32,
+    /// Gated end-to-end throughput.
+    pipeline: PipelineBench,
+    /// Gated serve throughput, matched by tenant count.
+    serve: Vec<ServeBench>,
 }
 
 fn time_iters(iters: usize, mut f: impl FnMut()) -> f64 {
@@ -198,42 +170,35 @@ fn pseudo(shape: impl Into<ndtensor::Shape>, seed: u64) -> Tensor {
 /// layers at batch 1 (the streaming case) and at batch 16 (a coalesced
 /// serve tick), which multiply by the transposed weight panel
 /// `Wᵀ: [in, out]`, plus the training path's backward shapes. (The conv
-/// forward runs its own implicit GEMM and selects no routine.) Shared by
-/// the entry-point benches and the per-routine sweep so the two views of
-/// the same shape are directly comparable.
-const GEMM_CASES: &[(&str, usize, usize, usize)] = &[
+/// forward runs its own implicit GEMM and selects no kernel.)
+const GEMM_CASES: &[(GemmOp, usize, usize, usize)] = &[
     // dense encode at batch 16: [16, 9600] x [9600, 64].
-    ("matmul", 16, 9600, 64),
+    (GemmOp::MatMul, 16, 9600, 64),
     // dense decode head at batch 16: [16, 64] x [64, 9600].
-    ("matmul", 16, 64, 9600),
+    (GemmOp::MatMul, 16, 64, 9600),
     // dense encode at batch 1: [1, 9600] x [9600, 64].
-    ("matmul", 1, 9600, 64),
+    (GemmOp::MatMul, 1, 9600, 64),
     // dense decode head at batch 1: [1, 64] x [64, 9600].
-    ("matmul", 1, 64, 9600),
+    (GemmOp::MatMul, 1, 64, 9600),
     // dense backward shapes (training path).
-    ("matmul_at_b", 32, 64, 9600),
-    ("matmul_at_b", 25, 8, 2184),
+    (GemmOp::MatMulAtB, 32, 64, 9600),
+    (GemmOp::MatMulAtB, 25, 8, 2184),
 ];
 
-fn op_for(kernel: &str) -> GemmOp {
-    match kernel {
-        "matmul_at_b" => GemmOp::MatMulAtB,
-        _ => GemmOp::MatMul,
-    }
-}
-
-/// Entry-point benches over [`GEMM_CASES`].
+/// Entry-point benches over [`GEMM_CASES`], each paired with the kernel
+/// the entry point selects for its shape.
 ///
-/// Schema v3 times the `_into` entry points over a recycled output
-/// buffer: the scoring hot path runs on `ndtensor::scratch` storage, and
-/// the allocating wrappers' per-call mmap churn (≈0.4 ms on the 1.2 MB
+/// Times the `_into` entry points over a recycled output buffer: the
+/// scoring hot path runs on `ndtensor::scratch` storage, and the
+/// allocating wrappers' per-call mmap churn (≈0.4 ms on the 1.2 MB
 /// backward shape) would otherwise swamp the kernel being measured.
-fn kernel_benches(iters: usize) -> Vec<KernelBench> {
-    let mut out = Vec::new();
-    for &(kernel, m, k, n) in GEMM_CASES {
+fn kernel_benches(iters: usize) -> (Vec<KernelBench>, Vec<SelectionBench>) {
+    let mut kernels = Vec::new();
+    let mut selections = Vec::new();
+    for &(op, m, k, n) in GEMM_CASES {
         let mut c = vec![0.0f32; m * n];
-        let ns = match kernel {
-            "matmul" => {
+        let ns = match op {
+            GemmOp::MatMul => {
                 let a = pseudo([m, k], 11);
                 let b = pseudo([k, n], 12);
                 time_iters(iters, || {
@@ -241,7 +206,7 @@ fn kernel_benches(iters: usize) -> Vec<KernelBench> {
                     black_box(&mut c);
                 })
             }
-            "matmul_at_b" => {
+            GemmOp::MatMulAtB => {
                 let a = pseudo([k, m], 15);
                 let b = pseudo([k, n], 16);
                 time_iters(iters, || {
@@ -249,73 +214,22 @@ fn kernel_benches(iters: usize) -> Vec<KernelBench> {
                     black_box(&mut c);
                 })
             }
-            _ => unreachable!(),
+            GemmOp::MatMulABt => unreachable!("no public A·Bᵀ entry point"),
         };
-        out.push(KernelBench {
-            kernel: kernel.to_string(),
-            shape: format!("m{m} k{k} n{n}"),
+        let shape = format!("m{m} k{k} n{n}");
+        kernels.push(KernelBench {
+            kernel: op.as_str().to_string(),
+            shape: shape.clone(),
+            ns_per_iter: ns,
+        });
+        selections.push(SelectionBench {
+            op: op.as_str().to_string(),
+            shape,
+            routine: routines::select(op, k, n).1.to_string(),
             ns_per_iter: ns,
         });
     }
-    out
-}
-
-/// Flat dense pseudo-random operand, matching the entry-point benches'
-/// distribution (no exact zeros, so skip-vs-dense paths are comparable).
-fn pseudo_flat(len: usize, seed: u64) -> Vec<f32> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 33) as f32 / (1u64 << 31) as f32) - 1.0
-        })
-        .collect()
-}
-
-/// Times every registered routine applicable to each measured shape
-/// through [`routines::run_serial`] — the exact body the autotuner
-/// measures — and records the selector's per-shape decision under the
-/// run's autotune mode.
-fn routine_benches(iters: usize) -> (Vec<RoutineBench>, Vec<SelectionBench>) {
-    let mut rows = Vec::new();
-    let mut selections = Vec::new();
-    for &(kernel, m, k, n) in GEMM_CASES {
-        let op = op_for(kernel);
-        let shape = format!("m{m} k{k} n{n}");
-        // Operand layouts per family: `a` is [m,k] ([k,m] for AtB), `b`
-        // is [k,n] ([n,k] for ABt) — the flat lengths coincide.
-        let a = pseudo_flat(m * k, 21);
-        let b = pseudo_flat(k * n, 22);
-        let mut out = vec![0.0f32; m * n];
-        let selected = routines::select(op, m, k, n);
-        let family_default = routines::default_routine(op);
-        let measured = routines::selection_table()
-            .iter()
-            .any(|e| e.op == op && e.m == m && e.k == k && e.n == n && e.measured);
-        selections.push(SelectionBench {
-            op: op.as_str().to_string(),
-            shape: shape.clone(),
-            routine: selected.name.to_string(),
-            measured,
-        });
-        for routine in routines::candidates(op, m, k, n) {
-            let ns = time_iters(iters, || {
-                routines::run_serial(routine, m, k, n, &a, &b, &mut out);
-                black_box(&mut out);
-            });
-            rows.push(RoutineBench {
-                op: op.as_str().to_string(),
-                shape: shape.clone(),
-                routine: routine.name.to_string(),
-                ns_per_iter: ns,
-                selected: routine.name == selected.name,
-                family_default: routine.name == family_default.name,
-            });
-        }
-    }
-    (rows, selections)
+    (kernels, selections)
 }
 
 /// Trains the bench detector: paper geometry (60×160, VBP + SSIM), quick
@@ -498,69 +412,16 @@ fn main() {
     // (CI container) number, where the thread pool cannot help.
     set_thread_config(ThreadConfig::serial());
 
-    // Install the sanctioned kernel timer so `SALIENCY_AUTOTUNE=on`
-    // means *measured* selection rather than the heuristic fallback.
-    obs::install_kernel_timer();
-    let autotune_mode = match routines::autotune_mode() {
-        routines::AutotuneMode::On => "on",
-        routines::AutotuneMode::Off => "off",
-    };
-    eprintln!("bench_pipeline: autotune {autotune_mode}");
-
     let kernel_iters = if quick { 20 } else { 200 };
     let frames = if quick { 12 } else { 48 };
 
     eprintln!("bench_pipeline: kernels ({kernel_iters} iters each)");
-    let kernels = kernel_benches(kernel_iters);
+    let (kernels, selections) = kernel_benches(kernel_iters);
 
-    eprintln!("bench_pipeline: per-routine sweep ({kernel_iters} iters each)");
-    let (routine_rows, selections) = routine_benches(kernel_iters);
     for sel in &selections {
         eprintln!(
-            "bench_pipeline: selected {} for {} {} ({})",
-            sel.routine,
-            sel.op,
-            sel.shape,
-            if sel.measured {
-                "measured"
-            } else {
-                "heuristic"
-            }
-        );
-    }
-    // Selection-quality gate: on every measured shape the selector's
-    // choice must not lose to the PR 5 priority-0 default it replaced.
-    // The gate exists to catch gross mis-selection (a tiling whose
-    // accumulators spill, a GEMV routed to a wide problem — integer
-    // factors), so the tolerance sits well above run-to-run noise:
-    // near-tie shapes (the batch-1 dense layers) jitter ±15% between
-    // runs on a busy host.
-    let tolerance = if quick { 1.6 } else { 1.25 };
-    for sel in &selections {
-        let ns_of = |name: &str| {
-            routine_rows
-                .iter()
-                .find(|r| r.op == sel.op && r.shape == sel.shape && r.routine == name)
-                .map(|r| r.ns_per_iter)
-        };
-        let (Some(chosen), Some(default_ns)) = (
-            ns_of(&sel.routine),
-            routine_rows
-                .iter()
-                .find(|r| r.op == sel.op && r.shape == sel.shape && r.family_default)
-                .map(|r| r.ns_per_iter),
-        ) else {
-            continue;
-        };
-        assert!(
-            chosen <= default_ns * tolerance,
-            "bench_pipeline: SELECTION REGRESSION {} {}: selected {} at {:.0} ns/iter \
-             is slower than the family default at {:.0} ns/iter",
-            sel.op,
-            sel.shape,
-            sel.routine,
-            chosen,
-            default_ns
+            "bench_pipeline: {} {} runs {}",
+            sel.op, sel.shape, sel.routine
         );
     }
 
@@ -615,22 +476,13 @@ fn main() {
         serve.push(bench);
     }
 
-    let autotune_stats = routines::stats();
     let total = scratch_delta.hits + scratch_delta.misses;
     let report = BenchReport {
         schema_version: BENCH_SCHEMA_VERSION,
         threads: 1,
         image_hw: vec![60, 160],
         kernels,
-        routines: Some(routine_rows),
-        selections: Some(selections),
-        autotune: Some(AutotuneBench {
-            mode: autotune_mode.to_string(),
-            lookups: autotune_stats.lookups,
-            table_hits: autotune_stats.table_hits,
-            measured: autotune_stats.measured,
-            heuristic: autotune_stats.heuristic,
-        }),
+        selections,
         pipeline: PipelineBench {
             score_batch_frames_per_sec: score_fps,
             stream_frames_per_sec: stream_fps,
@@ -686,7 +538,7 @@ fn main() {
     let baseline = check_path.as_ref().map(|path| {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("bench_pipeline: cannot read baseline {path}: {e}"));
-        let baseline: BenchReport = serde_json::from_str(&text)
+        let baseline: Baseline = serde_json::from_str(&text)
             .unwrap_or_else(|e| panic!("bench_pipeline: baseline {path} does not parse: {e}"));
         assert!(
             (BENCH_SCHEMA_CHECK_FLOOR..=BENCH_SCHEMA_VERSION).contains(&baseline.schema_version),

@@ -10,11 +10,11 @@
 //! two-row register-blocked kernel reads those slices in place. Each
 //! output element is one chain — +0.0, then the taps in ascending order
 //! skipping exact-zero weights, then the bias — which is exactly what the
-//! im2col lowering followed by any accumulating `MatMul` routine
-//! computes, so the forward pass needs no routine selection.
+//! im2col lowering followed by either accumulating `MatMul` kernel
+//! computes, so the forward pass needs no kernel selection.
 //!
 //! The backward pass still lowers each sample to a column matrix
-//! ([`im2col`]) and runs the selected GEMM routines on it.
+//! ([`im2col`]) and runs the selected GEMM kernels on it.
 //!
 //! Both passes parallelise over the batch dimension through [`crate::par`]:
 //! each worker owns a disjoint sample range (the inner GEMMs then stay on
@@ -615,8 +615,8 @@ fn row_pair<const DENSE: bool>(
 /// Implicit GEMM `flat[F, ncols] = W[F, kdim] · B` where row `l` of `B`
 /// is `phase[off(l)..][..ncols]` (see [`Phases`]). Every element of
 /// `flat` is assigned one chain: +0.0, then `+= w·b` over ascending `l`,
-/// skipping exact-zero weights — the chain of every accumulating
-/// `MatMul` routine on a zeroed output, so results match the im2col
+/// skipping exact-zero weights — the chain of either accumulating
+/// `MatMul` kernel on a zeroed output, so results match the im2col
 /// lowering bit for bit.
 ///
 /// Filters run in pairs of `BLOCK`-wide register rows; the last `<
@@ -822,12 +822,12 @@ fn conv2d_backward_impl(
     // exact forward-pass shape, so a training step reuses one buffer for
     // both directions instead of allocating twice.
     let work = 2 * n * out_len * kdim;
-    // Both backward GEMM shapes repeat per sample; select each routine
+    // Both backward GEMM shapes repeat per sample; select each kernel
     // once on the caller thread and hand workers plain kernel fns. The
     // dCols GEMM is `Wᵀ · gOut` with the full Aᵀ column range, so its
     // packed rows are the whole `kdim × f` transpose.
-    let dw_kernel = routines::select(GemmOp::MatMulABt, f, ncols, kdim).kernel;
-    let dcols_kernel = routines::select(GemmOp::MatMulAtB, kdim, f, ncols).kernel;
+    let (dw_kernel, _) = routines::select(GemmOp::MatMulABt, ncols, kdim);
+    let (dcols_kernel, _) = routines::select(GemmOp::MatMulAtB, f, ncols);
     let wt = routines::pack_at(wd, f, kdim, 0, kdim);
     let per_sample = try_parallel_map(n, work, |ni| -> Result<(Vec<f32>, Vec<f32>, Vec<f32>)> {
         let mut cols = scratch::take(kdim * ncols);

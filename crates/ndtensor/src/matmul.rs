@@ -10,18 +10,17 @@
 //! writes into a caller-provided buffer so hot loops can recycle storage;
 //! the allocating forms are thin wrappers that draw their output from
 //! [`crate::scratch`]. The `A·Bᵀ` family has no public entry point: its
-//! only caller is the convolution backward pass, which selects a routine
-//! directly.
+//! only caller is the convolution backward pass, which selects its
+//! kernel directly.
 //!
 //! The inner microkernels live in [`crate::routines`]: each entry point
-//! asks the routine selector for the candidate registered for its full
-//! `(op, m, k, n)` shape — once per call, on the caller thread — and
-//! hands the chosen kernel fn to the row-parallel workers. Every
-//! registered candidate of a family is bitwise-equal to the naive kernel
-//! (blocking only reorders *which* output element is worked on next; the
-//! per-element accumulation remains a single chain in ascending-`k`
-//! order, with the historical exact-zero skips preserved verbatim), so
-//! routine selection can never change a result bit.
+//! asks [`routines::select`] for the kernel matching its full shape —
+//! once per call, on the caller thread — and hands it to the
+//! row-parallel workers. Both kernels of a family are bitwise-equal to
+//! the naive kernel (blocking only reorders *which* output element is
+//! worked on next; the per-element accumulation remains a single chain
+//! in ascending-`k` order, with the historical exact-zero skips
+//! preserved verbatim), so selection can never change a result bit.
 //!
 //! All kernels parallelise over output rows through [`crate::par`] once the
 //! arithmetic volume crosses [`crate::par::PARALLEL_THRESHOLD`], so small
@@ -68,7 +67,7 @@ fn matmul_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut
     // One selection per call, on the caller thread: workers only see the
     // chosen kernel fn, so selection never contends or depends on the
     // thread count.
-    let kernel = routines::select(GemmOp::MatMul, m, k, n).kernel;
+    let (kernel, _) = routines::select(GemmOp::MatMul, k, n);
     for_each_block(out, n, m * n * k, |row0, chunk| {
         let rows = chunk.len().checked_div(n).unwrap_or(0);
         kernel(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
@@ -115,7 +114,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
 }
 
 fn matmul_at_b_slices(ad: &[f32], k: usize, m: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    let kernel = routines::select(GemmOp::MatMulAtB, m, k, n).kernel;
+    let (kernel, _) = routines::select(GemmOp::MatMulAtB, k, n);
     for_each_block(out, n, m * n * k, |row0, chunk| {
         let rows = chunk.len().checked_div(n).unwrap_or(0);
         if rows == 0 || k == 0 {

@@ -1,37 +1,47 @@
-//! Candidate GEMM microkernels behind the routine registry.
+//! The GEMM microkernels [`super::select`] chooses between.
 //!
 //! Every kernel here honours one non-negotiable contract: **each output
 //! element is accumulated in a single chain, ascending `k`, starting from
 //! the element's initial value** — exactly the three-loop schoolbook
 //! product. Tiling, packing and register blocking only reorder *which
 //! element is worked on next*, never the additions inside one element,
-//! so every candidate is bitwise-equal to the naive kernel and to every
-//! other candidate of its family (proven across shapes and thread counts
-//! by `tests/kernel_parity.rs`).
+//! so every kernel is bitwise-equal to the naive kernel and the two
+//! accumulating kernels are bitwise-interchangeable (proven across
+//! shapes and thread counts by `tests/kernel_parity.rs`).
 //!
 //! Families and their invariants:
 //!
-//! * **accumulating** (`matmul`, `matmul_at_b` after packing Aᵀ): the
-//!   historical exact-zero skip on `A` entries is preserved verbatim in
-//!   every variant — all members skip the same `l` indices, so members
-//!   are bitwise-interchangeable on *all* inputs, zeros included.
-//! * **assigning** (`A·Bᵀ`, the convolution backward pass's dW GEMM): no
-//!   zero skip anywhere (the original kernel never had one), every output
-//!   element is written exactly once.
+//! * **accumulating** (`matmul`, `matmul_at_b` after packing Aᵀ):
+//!   [`mm_axpy`] and [`mm_rr2`] both keep the historical exact-zero skip
+//!   on `A` entries verbatim — they skip the same `l` indices, so they
+//!   agree on *all* inputs, zeros included.
+//! * **assigning** (`A·Bᵀ`, the convolution backward pass's dW GEMM,
+//!   [`abt_tiled`]): no zero skip anywhere (the original kernel never had
+//!   one), every output element is written exactly once.
 //!
-//! The axpy variants are the PR 5 defaults generalised over the column
-//! tile; the register-blocked variants hold a group of output columns in
-//! local accumulators so each output element is loaded and stored once
-//! instead of once per `k` step — on the tall-skinny backward GEMM of
-//! the steering CNN (`m32 k64 n9600`) that removes ~`k×` of output
-//! traffic and is worth >2×.
+//! The axpy kernel streams packed B panels; the register kernel holds a
+//! group of output columns in local accumulators so each output element
+//! is loaded and stored once instead of once per `k` step — on the
+//! tall-skinny backward GEMM of the steering CNN (`m32 k64 n9600`) that
+//! removes ~`k×` of output traffic and is worth >2×.
 
 use crate::scratch;
 
-/// Minimum rows in a chunk before packing the B panel pays for itself.
-/// Shared by every packed variant so the packed/unpacked decision (which
-/// never affects values) stays uniform across the family.
-pub(crate) const PACK_MIN_ROWS: usize = 4;
+/// Output columns per [`mm_axpy`] tile (and B panel).
+const COL_TILE: usize = 256;
+
+/// Accumulator width of [`mm_rr2`]: output columns held per row.
+const W: usize = 64;
+
+/// B rows per [`abt_tiled`] tile.
+const ROW_TILE: usize = 64;
+
+/// Independent dot-product chains in [`abt_tiled`].
+const J: usize = 8;
+
+/// Minimum rows in a chunk before packing the B panel pays for itself
+/// (a decision that never affects values).
+const PACK_MIN_ROWS: usize = 4;
 
 /// Packs the `k × tw` column panel of `b` starting at column `jc` into
 /// `panel` (cleared first): one streaming copy, then every row of the
@@ -43,22 +53,14 @@ fn pack_panel(bd: &[f32], k: usize, n: usize, jc: usize, tw: usize, panel: &mut 
     }
 }
 
-/// Axpy-ordered accumulating kernel (the PR 5 default generalised over
-/// `col_tile`): `out[i][j] += Σ_l arows[i][l] · b[l][j]` with column
-/// tiling and optional B-panel packing. `out` must hold the `rows × n`
-/// output block already initialised.
+/// Axpy-ordered accumulating kernel: `out[i][j] += Σ_l arows[i][l] ·
+/// b[l][j]` over [`COL_TILE`]-column tiles with optional B-panel
+/// packing. `out` must hold the `rows × n` output block already
+/// initialised.
 ///
 /// Per output element the summation is a single chain in ascending `l`,
 /// skipping exact-zero `arows` entries — identical to the naive kernel.
-pub(crate) fn mm_axpy(
-    arows: &[f32],
-    rows: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-    col_tile: usize,
-) {
+pub(crate) fn mm_axpy(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(arows.len(), rows * k);
     debug_assert_eq!(out.len(), rows * n);
     if rows == 0 || n == 0 || k == 0 {
@@ -66,13 +68,13 @@ pub(crate) fn mm_axpy(
     }
     let pack = rows >= PACK_MIN_ROWS;
     let mut panel = if pack {
-        scratch::take(k * col_tile.min(n))
+        scratch::take(k * COL_TILE.min(n))
     } else {
         Vec::new()
     };
     let mut jc = 0;
     while jc < n {
-        let tw = col_tile.min(n - jc);
+        let tw = COL_TILE.min(n - jc);
         if pack {
             pack_panel(bd, k, n, jc, tw, &mut panel);
         }
@@ -100,94 +102,6 @@ pub(crate) fn mm_axpy(
     scratch::give(panel);
 }
 
-/// Register-blocked accumulating kernel: holds `W` output columns in
-/// local accumulators seeded from `out` (so the per-element chain still
-/// starts at the element's initial value), streams `l` ascending with
-/// the family's exact-zero skip, and stores each element exactly once.
-///
-/// With `col_tile == W` this is the B-streaming configuration that wins
-/// the tall-skinny wide-`n` shapes: the `k × W` B block (a few KB) turns
-/// L1-resident after the first output row, so B is pulled from memory
-/// exactly once per kernel call, while each output element lives in a
-/// register group for its whole `k` chain. Larger tiles trade that for
-/// the axpy kernels' panel reuse pattern. B-panel packing is skipped
-/// when the tile is no wider than the accumulator group (`col_tile ≤ W`)
-/// — a copy without a reuse benefit; the decision never affects values.
-pub(crate) fn mm_regblock<const W: usize>(
-    arows: &[f32],
-    rows: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-    col_tile: usize,
-) {
-    debug_assert_eq!(arows.len(), rows * k);
-    debug_assert_eq!(out.len(), rows * n);
-    if rows == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let pack = rows >= PACK_MIN_ROWS && col_tile > W;
-    let mut panel = if pack {
-        scratch::take(k * col_tile.min(n))
-    } else {
-        Vec::new()
-    };
-    let mut jc = 0;
-    while jc < n {
-        let tw = col_tile.min(n - jc);
-        if pack {
-            pack_panel(bd, k, n, jc, tw, &mut panel);
-        }
-        for i in 0..rows {
-            let arow = &arows[i * k..(i + 1) * k];
-            let orow = &mut out[i * n + jc..i * n + jc + tw];
-            let mut j = 0;
-            while j + W <= tw {
-                let mut acc = [0.0f32; W];
-                acc.copy_from_slice(&orow[j..j + W]);
-                for (l, &av) in arow.iter().enumerate() {
-                    // sncheck:allow(no-float-eq): exact-zero sparsity
-                    // skip, same discipline as mm_axpy.
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = if pack {
-                        &panel[l * tw + j..l * tw + j + W]
-                    } else {
-                        &bd[l * n + jc + j..l * n + jc + j + W]
-                    };
-                    for t in 0..W {
-                        acc[t] += av * brow[t];
-                    }
-                }
-                orow[j..j + W].copy_from_slice(&acc);
-                j += W;
-            }
-            while j < tw {
-                let mut acc = orow[j];
-                for (l, &av) in arow.iter().enumerate() {
-                    // sncheck:allow(no-float-eq): exact-zero sparsity
-                    // skip, same discipline as mm_axpy.
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let bv = if pack {
-                        panel[l * tw + j]
-                    } else {
-                        bd[l * n + jc + j]
-                    };
-                    acc += av * bv;
-                }
-                orow[j] = acc;
-                j += 1;
-            }
-        }
-        jc += tw;
-    }
-    scratch::give(panel);
-}
-
 /// Whether an A row contains no exact zero.
 ///
 /// Gates the branch-free fast path of the register-row kernels: when no
@@ -201,16 +115,9 @@ fn dense_row(row: &[f32]) -> bool {
     row.iter().all(|&v| v != 0.0)
 }
 
-/// Single-row register block shared by the `mm_rr*` remainder paths.
+/// Single-row register block for [`mm_rr2`]'s remainder row.
 #[inline(always)]
-fn rr1_block<const W: usize>(
-    r0: &[f32],
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    j: usize,
-    acc0: &mut [f32; W],
-) {
+fn rr1_block(r0: &[f32], k: usize, bd: &[f32], n: usize, j: usize, acc0: &mut [f32; W]) {
     if dense_row(r0) {
         for l in 0..k {
             let brow = &bd[l * n + j..l * n + j + W];
@@ -273,14 +180,7 @@ fn rr_col_remainder(
 /// inner loop; it performs the identical operation sequence as the
 /// skip loop on those inputs, so the choice never changes bits. Each
 /// output element's chain is ascending `l` either way.
-pub(crate) fn mm_rr2<const W: usize>(
-    arows: &[f32],
-    rows: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
+pub(crate) fn mm_rr2(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(arows.len(), rows * k);
     debug_assert_eq!(out.len(), rows * n);
     if rows == 0 || n == 0 || k == 0 {
@@ -338,117 +238,7 @@ pub(crate) fn mm_rr2<const W: usize>(
             let r0 = &arows[i * k..(i + 1) * k];
             let mut acc0 = [0.0f32; W];
             acc0.copy_from_slice(&out[i * n + j..i * n + j + W]);
-            rr1_block::<W>(r0, k, bd, n, j, &mut acc0);
-            out[i * n + j..i * n + j + W].copy_from_slice(&acc0);
-            i += 1;
-        }
-        j += W;
-    }
-    rr_col_remainder(arows, rows, k, bd, n, out, j);
-}
-
-/// Four-row variant of [`mm_rr2`]: four independent `W`-wide accumulator
-/// rows give twice the add chains in flight — worth it where FP-add
-/// latency, not load bandwidth, bounds the two-row kernel. Same
-/// bitwise-equality argument as [`mm_rr2`].
-pub(crate) fn mm_rr4<const W: usize>(
-    arows: &[f32],
-    rows: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(arows.len(), rows * k);
-    debug_assert_eq!(out.len(), rows * n);
-    if rows == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let mut j = 0;
-    while j + W <= n {
-        let mut i = 0;
-        while i + 4 <= rows {
-            let r0 = &arows[i * k..(i + 1) * k];
-            let r1 = &arows[(i + 1) * k..(i + 2) * k];
-            let r2 = &arows[(i + 2) * k..(i + 3) * k];
-            let r3 = &arows[(i + 3) * k..(i + 4) * k];
-            let mut acc0 = [0.0f32; W];
-            let mut acc1 = [0.0f32; W];
-            let mut acc2 = [0.0f32; W];
-            let mut acc3 = [0.0f32; W];
-            acc0.copy_from_slice(&out[i * n + j..i * n + j + W]);
-            acc1.copy_from_slice(&out[(i + 1) * n + j..(i + 1) * n + j + W]);
-            acc2.copy_from_slice(&out[(i + 2) * n + j..(i + 2) * n + j + W]);
-            acc3.copy_from_slice(&out[(i + 3) * n + j..(i + 3) * n + j + W]);
-            if dense_row(r0) && dense_row(r1) && dense_row(r2) && dense_row(r3) {
-                for l in 0..k {
-                    let brow = &bd[l * n + j..l * n + j + W];
-                    let a0 = r0[l];
-                    let a1 = r1[l];
-                    let a2 = r2[l];
-                    let a3 = r3[l];
-                    for t in 0..W {
-                        acc0[t] += a0 * brow[t];
-                    }
-                    for t in 0..W {
-                        acc1[t] += a1 * brow[t];
-                    }
-                    for t in 0..W {
-                        acc2[t] += a2 * brow[t];
-                    }
-                    for t in 0..W {
-                        acc3[t] += a3 * brow[t];
-                    }
-                }
-            } else {
-                for l in 0..k {
-                    let brow = &bd[l * n + j..l * n + j + W];
-                    let a0 = r0[l];
-                    // sncheck:allow(no-float-eq): exact-zero sparsity
-                    // skip, same discipline as mm_axpy.
-                    if a0 != 0.0 {
-                        for t in 0..W {
-                            acc0[t] += a0 * brow[t];
-                        }
-                    }
-                    let a1 = r1[l];
-                    // sncheck:allow(no-float-eq): exact-zero sparsity
-                    // skip, same discipline as mm_axpy.
-                    if a1 != 0.0 {
-                        for t in 0..W {
-                            acc1[t] += a1 * brow[t];
-                        }
-                    }
-                    let a2 = r2[l];
-                    // sncheck:allow(no-float-eq): exact-zero sparsity
-                    // skip, same discipline as mm_axpy.
-                    if a2 != 0.0 {
-                        for t in 0..W {
-                            acc2[t] += a2 * brow[t];
-                        }
-                    }
-                    let a3 = r3[l];
-                    // sncheck:allow(no-float-eq): exact-zero sparsity
-                    // skip, same discipline as mm_axpy.
-                    if a3 != 0.0 {
-                        for t in 0..W {
-                            acc3[t] += a3 * brow[t];
-                        }
-                    }
-                }
-            }
-            out[i * n + j..i * n + j + W].copy_from_slice(&acc0);
-            out[(i + 1) * n + j..(i + 1) * n + j + W].copy_from_slice(&acc1);
-            out[(i + 2) * n + j..(i + 2) * n + j + W].copy_from_slice(&acc2);
-            out[(i + 3) * n + j..(i + 3) * n + j + W].copy_from_slice(&acc3);
-            i += 4;
-        }
-        // Remainder rows: single-row register blocks, identical chains.
-        while i < rows {
-            let r0 = &arows[i * k..(i + 1) * k];
-            let mut acc0 = [0.0f32; W];
-            acc0.copy_from_slice(&out[i * n + j..i * n + j + W]);
-            rr1_block::<W>(r0, k, bd, n, j, &mut acc0);
+            rr1_block(r0, k, bd, n, j, &mut acc0);
             out[i * n + j..i * n + j + W].copy_from_slice(&acc0);
             i += 1;
         }
@@ -472,18 +262,17 @@ pub(crate) fn pack_at(ad: &[f32], k: usize, m: usize, i0: usize, rows: usize) ->
     pa
 }
 
-/// Tiled assigning kernel for `A·Bᵀ` (the PR 5 default generalised over
-/// the B-row tile and the accumulator width `J`): `out[i][j] =
-/// Σ_l arows[i][l] · b[j][l]`, `J` independent dot-product chains for
-/// instruction-level parallelism. Every element of `out` is assigned.
-pub(crate) fn abt_tiled<const J: usize>(
+/// Tiled assigning kernel for `A·Bᵀ`: `out[i][j] = Σ_l arows[i][l] ·
+/// b[j][l]` over [`ROW_TILE`]-row B tiles, [`J`] independent dot-product
+/// chains for instruction-level parallelism. Every element of `out` is
+/// assigned.
+pub(crate) fn abt_tiled(
     arows: &[f32],
     rows: usize,
     k: usize,
     bd: &[f32],
     n: usize,
     out: &mut [f32],
-    row_tile: usize,
 ) {
     debug_assert_eq!(arows.len(), rows * k);
     debug_assert_eq!(out.len(), rows * n);
@@ -492,7 +281,7 @@ pub(crate) fn abt_tiled<const J: usize>(
     }
     let mut j0 = 0;
     loop {
-        let tile_end = (j0 + row_tile).min(n);
+        let tile_end = (j0 + ROW_TILE).min(n);
         for i in 0..rows {
             let arow = &arows[i * k..(i + 1) * k];
             let orow = &mut out[i * n..(i + 1) * n];

@@ -118,7 +118,7 @@ pub struct NoveltyDetector {
     training_scores: Vec<f32>,
     /// ECDF over `training_scores`, cached so every [`Verdict`] can
     /// carry a percentile rank without re-sorting. `None` when there are
-    /// no (finite) training scores.
+    /// no training scores.
     score_ecdf: Option<Ecdf>,
 }
 
@@ -128,7 +128,9 @@ impl NoveltyDetector {
     /// # Errors
     ///
     /// Fails when the threshold's direction disagrees with the
-    /// backend's.
+    /// backend's, or when the threshold or a training score is not
+    /// finite (a deserialized [`Threshold`] skips [`Threshold::new`]'s
+    /// check, so a loaded file is re-checked here).
     pub fn from_backend(
         backend: Box<dyn ScoreBackend>,
         threshold: Threshold,
@@ -142,6 +144,13 @@ impl NoveltyDetector {
                     threshold.direction(),
                     backend.kind().id()
                 ),
+            ));
+        }
+        Threshold::new(threshold.value(), threshold.direction())?;
+        if let Some(bad) = training_scores.iter().find(|v| !v.is_finite()) {
+            return Err(NoveltyError::invalid(
+                "NoveltyDetector",
+                format!("training scores must be finite, got {bad}"),
             ));
         }
         let score_ecdf = Ecdf::new(training_scores.clone()).ok();
@@ -823,12 +832,6 @@ impl NoveltyDetectorBuilder {
         pretrained_cnn: Option<Network>,
         recorder: &dyn Recorder,
     ) -> Result<NoveltyDetector> {
-        // Every training path funnels through here, so this is where
-        // `SALIENCY_AUTOTUNE=on` gains its clock: the routine selector
-        // degrades to the static heuristic until a timer is installed,
-        // and ndtensor cannot read a wall clock itself. Idempotent, and
-        // never read on a per-frame path.
-        obs::install_kernel_timer();
         if !(0.0..=1.0).contains(&self.train_fraction) {
             return Err(NoveltyError::invalid(
                 "train",

@@ -51,7 +51,6 @@
 //! assert!(report.stage("scoring").unwrap().total_secs > 0.0);
 //! ```
 
-mod autotune;
 mod error;
 mod par_stats;
 mod recorder;
@@ -59,7 +58,6 @@ mod report;
 mod scratch_stats;
 mod stopwatch;
 
-pub use autotune::install_kernel_timer;
 pub use error::ObsError;
 pub use par_stats::{par_snapshot, record_par_delta};
 pub use recorder::{noop, NoopRecorder, Recorder, RunRecorder, Scoped, Span};

@@ -47,9 +47,8 @@ const SPAWN_ALLOWED_FILE: &str = "crates/ndtensor/src/par.rs";
 const HOT_ALLOC_FILES: &[&str] = &[
     "crates/ndtensor/src/matmul.rs",
     "crates/ndtensor/src/conv.rs",
-    "crates/ndtensor/src/routines/base.rs",
+    "crates/ndtensor/src/routines/mod.rs",
     "crates/ndtensor/src/routines/kernels.rs",
-    "crates/ndtensor/src/routines/selector.rs",
     "crates/saliency/src/vbp.rs",
     "crates/novelty/src/runtime.rs",
 ];

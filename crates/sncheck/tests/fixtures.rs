@@ -101,7 +101,7 @@ fn hot_alloc_fixture_fires_for_every_spelling() {
 
 #[test]
 fn routines_tree_is_hot_alloc_covered() {
-    // The kernel registry lives in a nested `routines/` directory; path
+    // The GEMM kernels live in a nested `routines/` directory; path
     // classification and the hot-file list must reach it like any flat
     // hot module.
     let diags = check_fixture("crates/ndtensor/src/routines/kernels.rs");

@@ -159,10 +159,10 @@ proptest! {
         })?;
     }
 
-    /// Same contract for every routine of the transposed-B family (the
-    /// convolution backward pass's dW GEMM, which selects a routine
-    /// directly and has no public entry point), run whole-problem
-    /// through the shared measurement body.
+    /// Same contract for the transposed-B kernel (the convolution
+    /// backward pass's dW GEMM, which selects its kernel directly and has
+    /// no public entry point), run whole-problem into a NaN-filled
+    /// buffer so every element must be assigned.
     #[test]
     fn matmul_a_bt_bitwise_matches_naive(
         m in 1usize..10,
@@ -173,11 +173,10 @@ proptest! {
         let a = pseudo([m, k], seed);
         let b = pseudo([n, k], seed + 7);
         let reference = naive_matmul_a_bt(a.as_slice(), b.as_slice(), m, k, n);
-        for routine in routines::candidates(GemmOp::MatMulABt, m, k, n) {
-            let mut out = vec![f32::NAN; m * n];
-            routines::run_serial(routine, m, k, n, a.as_slice(), b.as_slice(), &mut out);
-            prop_assert!(bits(&out) == bits(&reference), "{} m{m} k{k} n{n}", routine.name);
-        }
+        let (kernel, name) = routines::select(GemmOp::MatMulABt, k, n);
+        let mut out = vec![f32::NAN; m * n];
+        kernel(a.as_slice(), m, k, b.as_slice(), n, &mut out);
+        prop_assert!(bits(&out) == bits(&reference), "{name} m{m} k{k} n{n}");
     }
 
     /// `Dense::forward` and `forward_train`, which multiply by a cached
@@ -421,17 +420,19 @@ fn packed_a(op: GemmOp, a: &[f32], m: usize, k: usize) -> Vec<f32> {
     }
 }
 
-/// Every registered routine reproduces the naive chain bit-for-bit — on
-/// the whole problem and on every row chunking the thread row-splitter
-/// could produce (1, 2 and 4 contiguous chunks), on dense and zero-heavy
-/// A, and honouring the accumulate-into contract (non-zero initial
-/// output for the accumulating families).
+/// Every kernel `routines::select` returns reproduces the naive chain
+/// bit-for-bit — through the entry points on the whole problem and on
+/// every row chunking the thread row-splitter could produce (1, 2 and 4
+/// contiguous chunks), on dense and zero-heavy A, and honouring the
+/// accumulate-into contract (non-zero initial output for the
+/// accumulating families).
 ///
-/// Shapes land on the register-kernel block widths (16/32/64 columns ±1),
-/// the axpy column tiles, the row-pair/quad boundaries and the pack
-/// threshold.
+/// Shapes fall on both sides of the accumulating families' shape match
+/// (`n ≥ 64 && k ≤ 128`, both of whose kernels must be hit), on the
+/// register block width (64 columns ±1), the axpy column tile, the
+/// row-pair boundary and the pack threshold.
 #[test]
-fn every_registered_routine_matches_naive_bitwise() {
+fn every_selected_kernel_matches_naive_bitwise() {
     let _guard = lock();
     let shapes = [
         (1usize, 1usize, 1usize),
@@ -446,7 +447,10 @@ fn every_registered_routine_matches_naive_bitwise() {
         (2, 130, 256),
         (5, 6, 300),
         (32, 64, 96),
+        (3, 128, 64),
+        (4, 129, 64),
     ];
+    let mut hit = std::collections::BTreeSet::new();
     for (case, &(m, k, n)) in shapes.iter().enumerate() {
         for op in [GemmOp::MatMul, GemmOp::MatMulAtB, GemmOp::MatMulABt] {
             let (a_len, b_len) = match op {
@@ -463,78 +467,67 @@ fn every_registered_routine_matches_naive_bitwise() {
                 let reference = naive_for(op, &a, &b, &zeroed, m, k, n);
                 let reference_seeded = naive_for(op, &a, &b, &init, m, k, n);
                 let pa = packed_a(op, &a, m, k);
-                for routine in routines::candidates(op, m, k, n) {
-                    let label = format!("{} m{m} k{k} n{n} zeros={zero_every}", routine.name);
-                    // Whole problem through the shared measurement body.
-                    let mut out = vec![0.0f32; m * n];
-                    routines::run_serial(routine, m, k, n, &a, &b, &mut out);
-                    assert_eq!(bits(&out), bits(&reference), "{label} (run_serial)");
-                    // Row-chunked invocations: exactly what the threaded
-                    // entry points do, for 1, 2 and 4 contiguous chunks.
-                    for chunks in [1usize, 2, 4] {
-                        let mut out = match op {
-                            GemmOp::MatMulABt => vec![0.0f32; m * n],
-                            _ => init.clone(),
-                        };
-                        let per = m.div_ceil(chunks);
-                        let mut row0 = 0;
-                        while row0 < m {
-                            let rows = per.min(m - row0);
-                            let (a_chunk, out_chunk) = (
-                                &pa[row0 * k..(row0 + rows) * k],
-                                &mut out[row0 * n..(row0 + rows) * n],
-                            );
-                            (routine.kernel)(a_chunk, rows, k, &b, n, out_chunk);
-                            row0 += rows;
-                        }
-                        let want = match op {
-                            GemmOp::MatMulABt => &reference,
-                            _ => &reference_seeded,
-                        };
-                        assert_eq!(bits(&out), bits(want), "{label} (chunks={chunks})");
+                let (kernel, name) = routines::select(op, k, n);
+                hit.insert(name);
+                let label = format!("{name} m{m} k{k} n{n} zeros={zero_every}");
+                // Whole problem through the public entry point, which
+                // zero-fills `out` (the A·Bᵀ family has none: its kernel
+                // must assign every NaN away).
+                let mut out = vec![f32::NAN; m * n];
+                match op {
+                    GemmOp::MatMul => {
+                        matmul_into(&tensor([m, k], &a), &tensor([k, n], &b), &mut out).unwrap()
                     }
+                    GemmOp::MatMulAtB => {
+                        matmul_at_b_into(&tensor([k, m], &a), &tensor([k, n], &b), &mut out)
+                            .unwrap()
+                    }
+                    GemmOp::MatMulABt => kernel(&a, m, k, &b, n, &mut out),
+                }
+                assert_eq!(bits(&out), bits(&reference), "{label} (whole)");
+                // Row-chunked invocations: exactly what the threaded
+                // entry points do, for 1, 2 and 4 contiguous chunks.
+                for chunks in [1usize, 2, 4] {
+                    let mut out = match op {
+                        GemmOp::MatMulABt => vec![f32::NAN; m * n],
+                        _ => init.clone(),
+                    };
+                    let per = m.div_ceil(chunks);
+                    let mut row0 = 0;
+                    while row0 < m {
+                        let rows = per.min(m - row0);
+                        let (a_chunk, out_chunk) = (
+                            &pa[row0 * k..(row0 + rows) * k],
+                            &mut out[row0 * n..(row0 + rows) * n],
+                        );
+                        kernel(a_chunk, rows, k, &b, n, out_chunk);
+                        row0 += rows;
+                    }
+                    let want = match op {
+                        GemmOp::MatMulABt => &reference,
+                        _ => &reference_seeded,
+                    };
+                    assert_eq!(bits(&out), bits(want), "{label} (chunks={chunks})");
                 }
             }
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Selector determinism: the winner of [`routines::pick`] depends
-    /// only on the candidate set, never on its order — shuffling the
-    /// measured list (a stand-in for registration order) yields the same
-    /// winning name.
-    #[test]
-    fn pick_is_order_independent(
-        ns in proptest::collection::vec(1u64..2_000_000u64, 2..10),
-        rotate in 0usize..10,
-        seed in 0u64..1000,
-    ) {
-        let names = [
-            "mm-axpy-c256", "mm-axpy-c128", "mm-axpy-c512", "mm-rr2-w16",
-            "mm-rr2-w32", "mm-rr2-w64", "mm-rr4-w16", "mm-rr4-w32",
-            "mm-rr4-w64", "mm-reg8-c256",
-        ];
-        let mut measured: Vec<(&str, u8, u64)> = ns
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (names[i % names.len()], (seed % 5) as u8, t))
-            .collect();
-        measured.dedup_by_key(|e| e.0);
-        let baseline = routines::pick(&measured).map(|i| measured[i].0);
-        // Rotation + reversal cover every relative-order class a shuffle
-        // can produce for the min-by comparison.
-        let r = rotate % measured.len();
-        measured.rotate_left(r);
-        prop_assert_eq!(routines::pick(&measured).map(|i| measured[i].0), baseline);
-        measured.reverse();
-        prop_assert_eq!(routines::pick(&measured).map(|i| measured[i].0), baseline);
+    for name in [
+        "mm-rr2-w64",
+        "mm-axpy-c256",
+        "atb-rr2-w64",
+        "atb-axpy-c256",
+        "abt-dot8-t64",
+    ] {
+        assert!(hit.contains(name), "no shape selected {name}: {hit:?}");
     }
 }
 
-/// Fixed shapes chosen to land exactly on kernel tile edges: the column
+fn tensor(shape: [usize; 2], data: &[f32]) -> Tensor {
+    Tensor::from_vec(shape, data.to_vec()).unwrap()
+}
+
+/// Fixed shapes chosen to land exactly on kernel tile edges/// Fixed shapes chosen to land exactly on kernel tile edges: the column
 /// tile (256), the `a_bt` row tile (64), the 8-wide accumulator group,
 /// and the pack threshold (4 rows).
 #[test]
@@ -566,16 +559,10 @@ fn tile_edge_shapes_match_naive_bitwise() {
             "matmul_at_b m{m} k{k} n{n}"
         );
         let reference = naive_matmul_a_bt(a.as_slice(), bt.as_slice(), m, k, n);
-        for routine in routines::candidates(GemmOp::MatMulABt, m, k, n) {
-            let mut out = vec![f32::NAN; m * n];
-            routines::run_serial(routine, m, k, n, a.as_slice(), bt.as_slice(), &mut out);
-            assert_eq!(
-                bits(&out),
-                bits(&reference),
-                "{} m{m} k{k} n{n}",
-                routine.name
-            );
-        }
+        let (kernel, name) = routines::select(GemmOp::MatMulABt, k, n);
+        let mut out = vec![f32::NAN; m * n];
+        kernel(a.as_slice(), m, k, bt.as_slice(), n, &mut out);
+        assert_eq!(bits(&out), bits(&reference), "{name} m{m} k{k} n{n}");
     }
     set_thread_config(ThreadConfig::from_env());
 }

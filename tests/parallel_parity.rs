@@ -87,27 +87,24 @@ fn matmul_kernels_are_bit_identical_across_thread_counts() {
 
         // The `A·Bᵀ` family has no threaded entry point (the convolution
         // backward pass calls it per sample): split its rows into as
-        // many contiguous chunks as the pool would, for every routine.
+        // many contiguous chunks as the pool would.
         let (m, k, n) = (128, 96, 144);
-        let mut ref_abt = vec![0.0f32; m * n];
-        let default = routines::default_routine(GemmOp::MatMulABt);
-        routines::run_serial(default, m, k, n, a.as_slice(), bt.as_slice(), &mut ref_abt);
-        for routine in routines::candidates(GemmOp::MatMulABt, m, k, n) {
-            for chunks in THREAD_COUNTS {
-                let mut out = vec![f32::NAN; m * n];
-                let per = m.div_ceil(chunks);
-                for (c, block) in out.chunks_mut(per * n).enumerate() {
-                    let rows = block.len() / n;
-                    let a_rows = &a.as_slice()[c * per * k..(c * per + rows) * k];
-                    (routine.kernel)(a_rows, rows, k, bt.as_slice(), n, block);
-                }
-                assert_eq!(
-                    bits(&out),
-                    bits(&ref_abt),
-                    "{} seed={seed} chunks={chunks}",
-                    routine.name
-                );
+        let (kernel, name) = routines::select(GemmOp::MatMulABt, k, n);
+        let mut ref_abt = vec![f32::NAN; m * n];
+        kernel(a.as_slice(), m, k, bt.as_slice(), n, &mut ref_abt);
+        for chunks in THREAD_COUNTS {
+            let mut out = vec![f32::NAN; m * n];
+            let per = m.div_ceil(chunks);
+            for (c, block) in out.chunks_mut(per * n).enumerate() {
+                let rows = block.len() / n;
+                let a_rows = &a.as_slice()[c * per * k..(c * per + rows) * k];
+                kernel(a_rows, rows, k, bt.as_slice(), n, block);
             }
+            assert_eq!(
+                bits(&out),
+                bits(&ref_abt),
+                "{name} seed={seed} chunks={chunks}"
+            );
         }
     }
 }

@@ -77,6 +77,29 @@ fn non_finite_weights_are_rejected_at_load() {
 }
 
 #[test]
+fn non_finite_threshold_and_training_scores_are_rejected_at_load() {
+    let (detector, _) = trained_detector();
+    let dir = std::env::temp_dir().join("saliency_novelty_integration_nonfinite_calibration");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("overflowing_calibration.json");
+    save_detector(&detector, &path).unwrap();
+    let json = std::fs::read_to_string(&path).unwrap();
+    // 1e39 overflows f32 to +inf when parsed: once over the threshold
+    // value, once over the first training score.
+    for (what, key) in [
+        ("threshold", "\"threshold\":{\"value\":"),
+        ("training score", "\"training_scores\":["),
+    ] {
+        let start = json.find(key).unwrap_or_else(|| panic!("no {key}")) + key.len();
+        let end = start + json[start..].find([',', ']', '}']).unwrap();
+        std::fs::write(&path, format!("{}1e39{}", &json[..start], &json[end..])).unwrap();
+        let loaded = NoveltyDetector::load(&path);
+        assert!(loaded.is_err(), "a non-finite {what} must not load");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn absurd_frame_geometry_is_rejected_before_allocating() {
     let (detector, _) = trained_detector();
     let dir = std::env::temp_dir().join("saliency_novelty_integration_geometry");
