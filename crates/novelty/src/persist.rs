@@ -17,7 +17,7 @@
 use std::path::Path;
 
 use neural::serialize::{from_spec, to_spec, NetworkSpec};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::backend::{BackendKind, Detector};
 use crate::modelchar::{ModelCharBackend, StatProfile};
@@ -321,42 +321,50 @@ impl NoveltyDetector {
     /// this build supports.
     pub fn load(path: impl AsRef<Path>) -> Result<NoveltyDetector> {
         let json = std::fs::read_to_string(path)?;
-        let spec = match serde_json::from_str::<DetectorSpec>(&json) {
-            Ok(spec) => spec,
-            Err(e) => {
-                let msg = e.to_string();
-                if msg.contains("missing field `schema_version`") {
-                    return Err(NoveltyError::invalid(
-                        "load_detector",
-                        format!(
-                            "detector file predates schema versioning (version 1), but this \
-                             build reads version {DETECTOR_SCHEMA_VERSION} — retrain the detector"
-                        ),
-                    ));
-                }
-                if msg.contains("missing field `backend`") {
-                    // A versioned file without a backend id is the v2
-                    // layout; migrate it if its version checks out.
-                    let old: DetectorSpecV2 = serde_json::from_str(&json)
-                        .map_err(|e2| NoveltyError::Serde(e2.to_string()))?;
-                    if old.schema_version != 2 {
-                        return Err(NoveltyError::invalid(
-                            "load_detector",
-                            format!(
-                                "detector file has schema version {}, but this build reads \
-                                 version {} (and migrates version 2) — retrain the detector",
-                                old.schema_version, DETECTOR_SCHEMA_VERSION
-                            ),
-                        ));
-                    }
-                    old.migrate()
-                } else {
-                    return Err(NoveltyError::Serde(msg));
-                }
-            }
-        };
+        let spec = detector_spec(&parse(&json)?)?;
         detector_from_spec(spec)
     }
+}
+
+/// Parses a detector or ensemble file into its `Value` tree.
+fn parse(json: &str) -> Result<Value> {
+    serde_json::parse(json).map_err(|e| NoveltyError::Serde(e.to_string()))
+}
+
+/// Reads a single detector's spec out of a parsed file: the current
+/// layout as is, a version-2 file through its migration, and a clear
+/// error for any other version.
+fn detector_spec(tree: &Value) -> Result<DetectorSpec> {
+    let msg = match DetectorSpec::from_value(tree) {
+        Ok(spec) => return Ok(spec),
+        Err(e) => e.to_string(),
+    };
+    if msg.contains("missing field `schema_version`") {
+        return Err(NoveltyError::invalid(
+            "load_detector",
+            format!(
+                "detector file predates schema versioning (version 1), but this \
+                 build reads version {DETECTOR_SCHEMA_VERSION} — retrain the detector"
+            ),
+        ));
+    }
+    if !msg.contains("missing field `backend`") {
+        return Err(NoveltyError::Serde(msg));
+    }
+    // A versioned file without a backend id is the v2 layout; migrate it
+    // if its version checks out.
+    let old = DetectorSpecV2::from_value(tree).map_err(|e| NoveltyError::Serde(e.to_string()))?;
+    if old.schema_version != 2 {
+        return Err(NoveltyError::invalid(
+            "load_detector",
+            format!(
+                "detector file has schema version {}, but this build reads \
+                 version {} (and migrates version 2) — retrain the detector",
+                old.schema_version, DETECTOR_SCHEMA_VERSION
+            ),
+        ));
+    }
+    Ok(old.migrate())
 }
 
 impl EnsembleDetector {
@@ -422,22 +430,26 @@ pub fn ensemble_from_spec(spec: EnsembleSpec) -> Result<EnsembleDetector> {
 }
 
 /// Loads either kind of detector file: an [`EnsembleDetector`] bundle
-/// or a single [`NoveltyDetector`] (any loadable version).
+/// or a single [`NoveltyDetector`] (any loadable version). The file is
+/// read and parsed once.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; when the file is neither a valid ensemble nor
-/// a valid single detector, the single-detector error is returned (the
-/// common case, with the migration guidance).
+/// Propagates I/O and parse errors; when the file is neither a valid
+/// ensemble nor a valid single detector, the single-detector error is
+/// returned (the common case, with the migration guidance).
 pub fn load_any(path: impl AsRef<Path>) -> Result<LoadedDetector> {
-    let path = path.as_ref();
     let json = std::fs::read_to_string(path)?;
-    // Single-detector files fail this parse immediately (no `quorum`
-    // field), so a valid parse means the file really is an ensemble.
-    if let Ok(spec) = serde_json::from_str::<EnsembleSpec>(&json) {
+    let tree = parse(&json)?;
+    // Only an ensemble has a `quorum`: a single-detector tree fails this
+    // conversion at that field, before any of its weights are read.
+    if let Ok(spec) = EnsembleSpec::from_value(&tree) {
+        drop(tree);
         return Ok(LoadedDetector::Ensemble(ensemble_from_spec(spec)?));
     }
-    Ok(LoadedDetector::Single(NoveltyDetector::load(path)?))
+    let spec = detector_spec(&tree)?;
+    drop(tree);
+    Ok(LoadedDetector::Single(detector_from_spec(spec)?))
 }
 
 /// Saves a detector to a JSON file (wrapper for
@@ -557,6 +569,29 @@ mod tests {
     }
 
     #[test]
+    fn load_any_builds_the_same_detector_as_load() {
+        let (detector, data) = trained();
+        let dir = std::env::temp_dir().join("saliency_novelty_persist_any");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("detector.json");
+        detector.save(&path).unwrap();
+        let loaded = NoveltyDetector::load(&path).unwrap();
+        let any = load_any(&path).unwrap();
+        let any = any.as_single().unwrap();
+        let json = |d: &NoveltyDetector| serde_json::to_string(&detector_to_spec(d).unwrap());
+        let file = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(json(&loaded).unwrap(), file);
+        assert_eq!(json(any).unwrap(), file);
+        for frame in data.frames().iter().take(3) {
+            assert_eq!(
+                any.score(&frame.image).unwrap().to_bits(),
+                loaded.score(&frame.image).unwrap().to_bits()
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn ensemble_file_roundtrips_and_load_any_routes_it() {
         let data = DatasetConfig::indoor()
             .with_len(16)
@@ -620,6 +655,12 @@ mod tests {
             detector.score(img).unwrap().to_bits(),
             back.score(img).unwrap().to_bits()
         );
+        // `load_any` migrates from the same parsed tree.
+        let any = load_any(&path).unwrap();
+        assert_eq!(
+            detector.score(img).unwrap().to_bits(),
+            any.as_single().unwrap().score(img).unwrap().to_bits()
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -672,6 +713,7 @@ mod tests {
         let err = NoveltyDetector::load(&path).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("predates schema versioning"), "{msg}");
+        assert_eq!(load_any(&path).unwrap_err().to_string(), msg);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -100,6 +100,28 @@ fn usage_errors_exit_2_and_runtime_errors_exit_1() {
 }
 
 #[test]
+fn deeply_nested_detector_file_is_a_runtime_error() {
+    // A million `[` must fail the load with a message (exit 1), not
+    // overflow the reader's stack (abort, exit 134).
+    let dir = temp_dir("deep");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+    let out = run(&[
+        "classify",
+        "--detector",
+        path.to_str().unwrap(),
+        "--image",
+        dir.join("frame.pgm").to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("nesting deeper than 128 levels"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
 fn generate_writes_frames_and_index() {
     let dir = temp_dir("generate");
     let out = run(&[
